@@ -7,8 +7,8 @@ Run from the repository root:
 
 ``--trace 0`` measures the end-to-end metrics with tracing off.
 A run repeats the workload's list of ops in rounds, each round on the
-same inputs, and times every op; an op's latency is its median over the
-rounds.
+same inputs, and times every op; an op's latency is its fastest time
+over the rounds.
 ``--trace 1`` is the separate traced run: it runs rounds untraced for
 half of ``--seconds``, then as many rounds again with span tracing at
 every qimpute layer boundary, and reports the per-module metrics plus
@@ -44,14 +44,13 @@ BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 sys.path.insert(0, str(BENCH_DIR))
 
-from tracing import Tracer, check_roots, layer_metrics  # noqa: E402
+from tracing import (  # noqa: E402
+    UNATTRIBUTED_ALLOWANCE, Tracer, check_ops, layer_metrics, unattributed_shares,
+)
 from workloads import WORKLOADS, make_workload  # noqa: E402
 
-SETUP_PROBES = 5
+SETUP_PROBES = 7
 OUT_DIR = ROOT / ".bench_out"
-# Share of traced op time allowed outside every layer span, on top of the
-# measured tracing overhead: the benchmark's own glue between calls.
-UNATTRIBUTED_SLACK = 0.02
 
 
 def import_qimpute():
@@ -113,7 +112,7 @@ def environment(workload: str, seed: int) -> dict:
 @dataclass
 class RunStats:
     rounds: list = field(default_factory=list)  # one list of op latencies per round
-    distances: list = field(default_factory=list)  # fitted distances of the first round
+    distances: list = field(default_factory=list)  # optimized distances of the first round
     failed: int = 0
 
     @property
@@ -121,8 +120,12 @@ class RunStats:
         return sum(len(latencies) for latencies in self.rounds)
 
     def typical(self) -> list:
-        """Each op's median latency over the rounds."""
-        return [statistics.median(samples) for samples in zip(*self.rounds)]
+        """Each op's fastest latency over the rounds.
+
+        Host interference only ever adds time, so the minimum is the
+        estimate of an op's cost that it disturbs least.
+        """
+        return [min(samples) for samples in zip(*self.rounds)]
 
 
 def report_failure(label: str, messages: list) -> None:
@@ -136,8 +139,8 @@ def run_rounds(wl, q, state, seed: int, budget_s: float | None, n_rounds: int | 
 
     Every round runs the same ops on the same inputs.  The host this was
     built on slows all work by up to 1.9x for seconds at a time, so each
-    op's median over several rounds is a steadier estimate of its cost
-    than one pass over more inputs.  Each op is timed alone; its output
+    op's fastest time over several rounds is a steadier estimate of its
+    cost than one pass over more inputs.  Each op is timed alone; its output
     check runs after the timer stops and outside any span.
     """
     stats = RunStats()
@@ -164,8 +167,8 @@ def run_rounds(wl, q, state, seed: int, budget_s: float | None, n_rounds: int | 
             if errors:
                 stats.failed += 1
                 report_failure(op.label, errors)
-            elif "distance" in outcome and not stats.rounds:
-                stats.distances.append(outcome["distance"])
+            elif not stats.rounds:
+                stats.distances.extend(outcome.get("distances", ()))
         stats.rounds.append(latencies)
         if n_rounds is not None:
             if len(stats.rounds) >= n_rounds:
@@ -233,7 +236,8 @@ def end_to_end(q, wl, workload: str, seed: int, seconds: float):
         extras["op_p90_ms"] = (statistics.quantiles(every, n=10)[8], "ms")
     if stats.distances:
         extras["mean_distance"] = (statistics.fmean(stats.distances), "distance")
-    details = {"setup_probe_s": setup_times}
+    labels = [op.label for op in wl.ops(q, state, seed)]
+    details = {"setup_probe_s": setup_times, "op_s": dict(zip(labels, typical))}
     return stats, metrics, extras, details
 
 
@@ -251,11 +255,10 @@ def traced(q, wl, workload: str, seed: int, seconds: float):
     self_s = tracer.self_times()
     metrics = layer_metrics(tracer, self_s)
     overhead = sum(spans.typical()) / sum(plain.typical()) - 1.0
-    roots = [s for s in range(len(self_s)) if tracer.parent[s] < 0]
-    root_total = sum(tracer.end[s] - tracer.start[s] for s in roots)
+    shares = unattributed_shares(tracer, self_s)
     metrics["trace.overhead_frac"] = overhead
-    metrics["trace.unattributed_frac"] = sum(self_s[s] for s in roots) / root_total
-    errors = check_roots(tracer, self_s, max(overhead, 0.0) + UNATTRIBUTED_SLACK)
+    metrics["trace.unattributed_frac"] = max(shares)
+    errors = check_ops(shares, UNATTRIBUTED_ALLOWANCE)
     if errors:
         raise SystemExit("trace self-check failed:\n" + "\n".join(errors))
     traces = OUT_DIR / "traces"

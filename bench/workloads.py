@@ -1,27 +1,31 @@
-"""The benchmark's three workloads, driven through qimpute's public API.
+"""The benchmark's two workloads, driven through qimpute's public API.
 
 A workload builds its inputs once (``setup``) and then hands out its
 list of ops (``ops``).  The target, mask and optimizer seeds in them are
 derived from the workload seed and the op's position, so every call to
 ``ops`` returns the same work: a run repeats that list in rounds and
-takes each op's median latency over them.
+takes each op's fastest latency over them.
 
 An op is a ``(label, run, check)`` triple.  ``run`` is the timed unit of
 user-visible work and returns an outcome; ``check`` inspects that outcome
-outside the timed region and returns a list of failure messages.  Fit
-outcomes carry a ``distance`` key, which feeds ``mean_distance``.
+outside the timed region and returns a list of failure messages.  A
+check that reads optimized distances stores them in the outcome under
+``distances``, which feeds ``mean_distance``.
 
-Calls go through module attributes (``q.minimize``, ``qcli.main``) so
-that the traced run's wrappers, installed on those attributes, see them.
+Calls go through module attributes (``q.gradient_statistics``,
+``qcli.main``) so that the traced run's wrappers, installed on those
+attributes, see them.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import math
+import re
 import shutil
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -41,71 +45,6 @@ def derive(seed: int, *labels) -> int:
 
 def _finite(*values) -> bool:
     return all(math.isfinite(v) for v in values)
-
-
-def _fit_check(q, ansatz, target):
-    """Bound and self-consistency checks of one fit."""
-
-    def check(outcome: dict) -> list:
-        errors = []
-        result = outcome["result"]
-        bound = q.worst_case_bound(ansatz.param_count, ansatz.n_inputs)
-        if not result.final_distance <= bound + 1e-9:
-            errors.append(f"distance {result.final_distance} exceeds bound {bound}")
-        recomputed = q.objective(ansatz, result.best_params, target)
-        if recomputed != result.final_distance:
-            errors.append(f"objective(best_params) {recomputed} != final_distance {result.final_distance}")
-        if not all(0.0 <= d <= 1.0 for d in outcome["scores"]):
-            errors.append(f"scored distances outside [0, 1]: {outcome['scores']}")
-        return errors
-
-    return check
-
-
-class FitWorkload:
-    """Default-config fits of a (family, width, target) spec list; one op is one fit plus scoring."""
-
-    name = "narrow-fits"
-
-    def __init__(self, specs: list):
-        self.specs = specs
-
-    def setup(self, q, seed: int) -> list:
-        built = []
-        for index, (kind, n, target_kind) in enumerate(self.specs):
-            ansatz = getattr(q.Ansatz, kind)(n)
-            if target_kind == "random":
-                full = target = q.random_target(n, derive(seed, self.name, "target", index))
-            elif target_kind == "majority":
-                full = target = q.majority_target(n)
-            else:  # "gaussian-masked": half of the inputs hidden
-                full = q.gaussian_target(n)
-                target = q.mask_fraction(full, 0.5, derive(seed, self.name, "mask", index))
-            built.append((ansatz, full, target))
-        return built
-
-    def op(self, q, state: list, seed: int, index: int, role: str = "op") -> Op:
-        ansatz, full, target = state[index]
-        config = q.OptimizeConfig(seed=derive(seed, self.name, "optimizer", role, index))
-
-        def run() -> dict:
-            result = q.minimize(ansatz, target, config)
-            out = q.conditional_output(ansatz, result.best_params)
-            scores = [q.restricted_distance(target, out, "seen").hellinger]
-            if target is not full:
-                scores.append(
-                    q.restricted_distance(full, out, "unseen", mask=target.seen_mask).hellinger
-                )
-            return {"result": result, "distance": result.final_distance, "scores": scores}
-
-        kind, n, target_kind = self.specs[index]
-        return Op(f"{kind}-{n}-{target_kind}", run, _fit_check(q, ansatz, target))
-
-    def warmup(self, q, state: list, seed: int) -> Op:
-        return self.op(q, state, seed, 0, "warmup")
-
-    def ops(self, q, state: list, seed: int) -> list:
-        return [self.op(q, state, seed, i) for i in range(len(self.specs))]
 
 
 MC_WIDTHS = range(4, 13)
@@ -224,6 +163,74 @@ EXPERIMENT_SUBCOMMANDS = (
     "fit", "majority-ratios", "entropy", "bp-stats", "generalize", "sweep", "validate",
 )
 
+# The CSV column holding each data subcommand's optimized distance.
+DISTANCE_COLUMN = {"fit": "d_h", "sweep": "d_h", "generalize": "d_h_opt", "majority-ratios": "d_h_opt"}
+# Columns whose values must lie in [0, 1], per data subcommand.
+UNIT_COLUMNS = {
+    "fit": ("target_prob", "circuit_prob"),
+    "generalize": ("d_h_seen", "d_h_unseen", "d_h_full"),
+    "majority-ratios": ("ratio_seen", "ratio_unseen", "ratio_total"),
+    "entropy": ("mean_entropy",),
+}
+CAPACITY_WARNING = "exceeds capacity bound"
+# The CLI's success line: "<experiment id>: <rows> rows -> <csv path>".
+_OUTPUT_LINE = re.compile(r"^(\S+): (\d+) rows -> (.+)$", re.MULTILINE)
+
+
+def _number(row: dict, column: str) -> float | None:
+    return float(row[column]) if row.get(column, "") != "" else None
+
+
+def _check_rows(q, subcommand: str, rows: list) -> tuple[list, list]:
+    """Check one data subcommand's CSV rows; return (errors, optimized distances).
+
+    The CLI writes no fitted parameters, so ``objective(best_params)``
+    cannot be recomputed here.  The checks it can make: every optimized
+    distance lies in [0, bound + 1e-9], and the Hellinger distance of the
+    fitted circuit's written probabilities is at most that distance (the
+    objective's amplitude overlap never exceeds the Bhattacharyya
+    coefficient), so a run that reports a better fit than its circuit has
+    fails.
+    """
+    import numpy as np
+
+    errors = []
+    distances = []
+    column = DISTANCE_COLUMN.get(subcommand)
+    for index, row in enumerate(rows):
+        for name in UNIT_COLUMNS.get(subcommand, ()):
+            value = _number(row, name)
+            if value is not None and not 0.0 <= value <= 1.0:
+                errors.append(f"row {index}: {name} {value} outside [0, 1]")
+        if subcommand == "bp-stats":
+            mean, variance = float(row["mean_abs_gradient"]), float(row["gradient_variance"])
+            if not (_finite(mean, variance) and variance >= 0.0):
+                errors.append(f"row {index}: gradient statistics {mean}, {variance}")
+        distance = _number(row, column) if column else None
+        if distance is None:
+            continue
+        distances.append(distance)
+        bound = float(row["bound"])
+        if not 0.0 <= distance <= bound + 1e-9:
+            errors.append(f"row {index}: distance {distance} outside [0, bound {bound} + 1e-9]")
+        if subcommand == "generalize" and not float(row["d_h_seen"]) <= distance + 1e-9:
+            errors.append(f"row {index}: seen Hellinger {row['d_h_seen']} above distance {distance}")
+    if subcommand == "fit":
+        for index, row in enumerate(rows):
+            if row["row_type"] != "summary":
+                continue
+            probs = [r for r in rows if r["row_type"] == "prob"
+                     and (r["ansatz"], r["n"]) == (row["ansatz"], row["n"])]
+            target = np.array([float(r["target_prob"]) for r in probs])
+            circuit = np.array([float(r["circuit_prob"]) for r in probs])
+            written = q.hellinger(target / target.sum(), circuit / circuit.sum()).hellinger
+            if not written <= float(row["d_h"]) + 1e-9:
+                errors.append(f"row {index}: written probabilities are {written} apart, "
+                              f"above the reported distance {row['d_h']}")
+    if column and not distances:
+        errors.append("no optimized distance written")
+    return errors, distances
+
 
 class ExperimentsWorkload:
     """Every CLI subcommand at its defaults; one op is one subcommand."""
@@ -252,13 +259,29 @@ class ExperimentsWorkload:
             return {"code": code, "output": captured.getvalue()}
 
         def check(outcome: dict) -> list:
+            output = outcome["output"]
             if outcome["code"] != 0:
-                return [f"qimpute {' '.join(argv)} exited {outcome['code']}: {outcome['output'][-2000:]}"]
+                return [f"qimpute {' '.join(argv)} exited {outcome['code']}: {output[-2000:]}"]
+            if CAPACITY_WARNING in output:
+                return [f"qimpute {' '.join(argv)} warned: {output[-2000:]}"]
             if subcommand == "validate":
                 report = json.loads((self.out_dir / "validation.json").read_text())
                 if report.get("passed") is not True:
                     return [f"validate did not pass: {report}"]
-            return []
+                return []
+            line = _OUTPUT_LINE.search(output)
+            if line is None:
+                return [f"no output line in: {output[-2000:]}"]
+            csv_path = Path(line.group(3))
+            sidecar = json.loads(csv_path.with_suffix(".json").read_text())
+            if sidecar.get("bound_violations") != []:
+                return [f"bound violations: {sidecar.get('bound_violations')}"]
+            with open(csv_path, newline="") as handle:
+                rows = list(csv.DictReader(handle))
+            if len(rows) != int(line.group(2)) or not rows:
+                return [f"{csv_path} holds {len(rows)} rows, the CLI reported {line.group(2)}"]
+            errors, outcome["distances"] = _check_rows(q, subcommand, rows)
+            return errors
 
         return Op(subcommand, run, check)
 
@@ -273,23 +296,7 @@ class ExperimentsWorkload:
         shutil.rmtree(self.out_dir, ignore_errors=True)
 
 
-# Narrow fits alternate full random targets with half-masked gaussians;
-# linear fits also take the majority rule.  That makes the op count odd,
-# so that the median latency falls on one op rather than between two ops
-# of different cost, and puts the median among the many linear fits of
-# similar cost, so that it moves little with the seed.
-NARROW_SPECS = [
-    (kind, n, target_kind)
-    for n in range(4, 9)
-    for kind in ("linear", "quadratic")
-    for target_kind in ("random", "gaussian-masked", "majority")
-    if kind == "linear" or target_kind != "majority"
-]
-
-
 def make_workload(name: str, work_dir: Path):
-    if name == "narrow-fits":
-        return FitWorkload(NARROW_SPECS)
     if name == "montecarlo":
         return MonteCarloWorkload()
     if name == "experiments":
@@ -297,4 +304,4 @@ def make_workload(name: str, work_dir: Path):
     raise ValueError(f"unknown workload {name!r}")
 
 
-WORKLOADS = ("narrow-fits", "montecarlo", "experiments")
+WORKLOADS = ("montecarlo", "experiments")
