@@ -9,9 +9,7 @@ flattening and output-qubit entanglement.
 
 from .ansatz import (
     Ansatz,
-    BlockRotation,
     ConditionalOutput,
-    block_rotation,
     conditional_output,
     effective_angles,
     flip_bits,
@@ -29,7 +27,6 @@ from .analysis import (
     mean_entropy,
     target_entropy,
 )
-from .bitphase import Bitstring, exp_phase, pair_phase, partial_sum
 from .harness import (
     ExperimentConfig,
     ExperimentOutput,

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ansatz import Ansatz, conditional_output, flip_bits, sign_matrix
+from .ansatz import Ansatz, _block_amplitudes, conditional_output, flip_bits, sign_matrix
 from .optimize import _bfgs_core, adjusted_target_angles
 from .rng import stream
 from .targets import TargetDistribution
@@ -70,12 +70,6 @@ class ExpFit:
     c: float
     residual: float
     degenerate: bool
-
-
-def _random_parameter_angles(ansatz: Ansatz, sample_count: int, rng) -> np.ndarray:
-    """Block angles for a batch of uniform parameter draws, shape (S, 2^N)."""
-    draws = rng.uniform(0.0, 2.0 * np.pi, size=(sample_count, ansatz.param_count))
-    return draws @ sign_matrix(ansatz).T
 
 
 def gradient_statistics(
@@ -136,7 +130,16 @@ def gradient_statistics_vs_m(
     ]
 
 
-def _entropy_from_moments(r00: np.ndarray, r11: np.ndarray, r01: np.ndarray) -> np.ndarray:
+def _entropy(amp0: np.ndarray, amp1: np.ndarray) -> np.ndarray:
+    """Base-2 entropy of the output qubit given its per-input amplitudes.
+
+    The reduced state under a uniform input register is the average, along
+    the last axis, of the per-input rank-1 projectors onto (amp0, amp1);
+    its two eigenvalues are 1/2 +- the Bloch radius in the (z, x) plane.
+    """
+    r00 = (amp0 ** 2).mean(axis=-1)
+    r11 = (amp1 ** 2).mean(axis=-1)
+    r01 = (amp0 * amp1).mean(axis=-1)
     split = np.sqrt(((r00 - r11) / 2.0) ** 2 + r01 ** 2)
     lams = np.stack([0.5 + split, 0.5 - split], axis=-1)
     lams = np.clip(lams, 0.0, 1.0)
@@ -145,17 +148,9 @@ def _entropy_from_moments(r00: np.ndarray, r11: np.ndarray, r01: np.ndarray) -> 
 
 
 def target_entropy(ansatz: Ansatz, params) -> float:
-    """Base-2 entropy of the output qubit's reduced state.
-
-    The reduced state under a uniform input register is the average of the
-    per-input rank-1 projectors onto (amp0, amp1); its two eigenvalues are
-    1/2 +- the Bloch radius in the (z, x) plane.
-    """
+    """Base-2 entropy of the output qubit's reduced state."""
     out = conditional_output(ansatz, params)
-    r00 = float((out.amp0 ** 2).mean())
-    r11 = float((out.amp1 ** 2).mean())
-    r01 = float((out.amp0 * out.amp1).mean())
-    return float(_entropy_from_moments(np.asarray(r00), np.asarray(r11), np.asarray(r01)))
+    return float(_entropy(out.amp0, out.amp1))
 
 
 def mean_entropy(ansatz: Ansatz, sample_count: int = 1000, seed: int = 0) -> EntropyStats:
@@ -163,15 +158,8 @@ def mean_entropy(ansatz: Ansatz, sample_count: int = 1000, seed: int = 0) -> Ent
     if sample_count < MIN_SAMPLE_COUNT:
         raise ValueError(f"sample_count must be >= {MIN_SAMPLE_COUNT}, got {sample_count}")
     rng = stream(seed, "entropy-stats")
-    theta = _random_parameter_angles(ansatz, sample_count, rng)
-    flipped = flip_bits(ansatz)
-    c, s = np.cos(theta), np.sin(theta)
-    amp0 = np.where(flipped, s, c)
-    amp1 = np.where(flipped, c, s)
-    r00 = (amp0 ** 2).mean(axis=1)
-    r11 = (amp1 ** 2).mean(axis=1)
-    r01 = (amp0 * amp1).mean(axis=1)
-    entropies = _entropy_from_moments(r00, r11, r01)
+    draws = rng.uniform(0.0, 2.0 * np.pi, size=(sample_count, ansatz.param_count))
+    entropies = _entropy(*_block_amplitudes(draws @ sign_matrix(ansatz).T, flip_bits(ansatz)))
     return EntropyStats(
         n_inputs=ansatz.n_inputs,
         n_params=ansatz.param_count,

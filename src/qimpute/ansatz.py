@@ -17,6 +17,12 @@ the total fire parity.  For the single-control gates this reproduces the
 prefix-parity sign rule; the flip parities for the full pair and general
 gate sets are the all-pairs and all-subsets product parities.
 
+Input bitstrings are encoded as integers with b_1 the most significant bit:
+b = 0b101 at N=3 has b_1=1, b_2=0, b_3=1, and every module in this package
+uses that order.  The running fire parity is computed in one place, the
+generator ``_phases``; the forward map (``effective_angles``), its adjoint
+(``project_signs``), the dense sign matrix and the flip bits all read it.
+
 All gates involved (H, R_y, X and controlled X) are real in the
 computational basis, so amplitudes are stored as plain floats.
 
@@ -34,19 +40,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
-
-from .bitphase import Bitstring
 
 __all__ = [
     "ANSATZ_KINDS",
     "Ansatz",
-    "BlockRotation",
     "ConditionalOutput",
     "param_count",
-    "block_rotation",
     "effective_angles",
     "flip_bits",
     "sign_matrix",
@@ -123,6 +125,13 @@ class Ansatz:
         """Parameter slot -> control tuple; slot 0 is the bare rotation."""
         return ((),) + self.controls
 
+    @cached_property
+    def control_masks(self) -> tuple[int, ...]:
+        """Integer bit mask of each gate's controls; b_i sits at bit N - i."""
+        return tuple(
+            sum(1 << (self.n_inputs - i) for i in ctrl) for ctrl in self.controls
+        )
+
     @classmethod
     def linear(cls, n_inputs: int) -> "Ansatz":
         return cls("linear", n_inputs, tuple(_single_controls(n_inputs)))
@@ -157,13 +166,6 @@ class Ansatz:
         return cls("custom", n_inputs, tuple(gates))
 
 
-class BlockRotation(NamedTuple):
-    """One output-qubit block: X**flip followed by R_y(angle) read inward."""
-
-    flip: int
-    angle: float
-
-
 def _check_params(ansatz: Ansatz, params) -> np.ndarray:
     arr = np.asarray(params, dtype=float)
     if arr.shape != (ansatz.param_count,):
@@ -174,30 +176,19 @@ def _check_params(ansatz: Ansatz, params) -> np.ndarray:
     return arr
 
 
-def _control_masks(ansatz: Ansatz) -> list[int]:
-    # b_i sits at bit position (N - i) of the integer encoding
-    n = ansatz.n_inputs
-    masks = []
-    for ctrl in ansatz.controls:
-        mask = 0
-        for i in ctrl:
-            mask |= 1 << (n - i)
-        masks.append(mask)
-    return masks
+def _phases(ansatz: Ansatz):
+    """Running fire parity of every input after each gate, in circuit order.
 
-
-def block_rotation(ansatz: Ansatz, params, b: Bitstring) -> BlockRotation:
-    """The (flip, angle) block acting on the output qubit for input ``b``."""
-    params = _check_params(ansatz, params)
-    if b.width != ansatz.n_inputs:
-        raise ValueError(f"bitstring width {b.width} != ansatz width {ansatz.n_inputs}")
-    angle = params[0]
-    phase = 0
-    for k, ctrl in enumerate(ansatz.controls, start=1):
-        if all(b.bit(i) for i in ctrl):
-            phase ^= 1
-        angle += -params[k] if phase else params[k]
-    return BlockRotation(flip=phase, angle=float(angle))
+    The k-th yield is a bool vector over all 2^N inputs, True where the
+    fire parity of gates 1..k is odd, i.e. where parameter k enters theta_b
+    with sign -1; the last yield is the flip bit.  The same array is
+    updated in place, so copy it to keep a snapshot.
+    """
+    idx = np.arange(1 << ansatz.n_inputs)
+    phase = np.zeros(idx.size, dtype=bool)
+    for mask in ansatz.control_masks:
+        phase ^= (idx & mask) == mask
+        yield phase
 
 
 def effective_angles(ansatz: Ansatz, params) -> tuple[np.ndarray, np.ndarray]:
@@ -206,23 +197,19 @@ def effective_angles(ansatz: Ansatz, params) -> tuple[np.ndarray, np.ndarray]:
     Runs in O(M * 2^N) time and O(2^N) memory.
     """
     params = _check_params(ansatz, params)
-    n_states = 1 << ansatz.n_inputs
-    idx = np.arange(n_states)
-    theta = np.full(n_states, params[0])
-    phase = np.zeros(n_states, dtype=bool)
-    for k, mask in enumerate(_control_masks(ansatz), start=1):
-        phase ^= (idx & mask) == mask
+    theta = np.full(1 << ansatz.n_inputs, params[0])
+    # With no gates nothing fires; otherwise the last phase is the flip.
+    phase = np.zeros(theta.size, dtype=bool)
+    for k, phase in enumerate(_phases(ansatz), start=1):
         theta += np.where(phase, -params[k], params[k])
     return theta, phase
 
 
 def flip_bits(ansatz: Ansatz) -> np.ndarray:
     """Parameter-independent flip bit of every block, as a bool vector."""
-    n_states = 1 << ansatz.n_inputs
-    idx = np.arange(n_states)
-    phase = np.zeros(n_states, dtype=bool)
-    for mask in _control_masks(ansatz):
-        phase ^= (idx & mask) == mask
+    phase = np.zeros(1 << ansatz.n_inputs, dtype=bool)
+    for phase in _phases(ansatz):
+        pass
     return phase
 
 
@@ -234,12 +221,9 @@ def sign_matrix(ansatz: Ansatz) -> np.ndarray:
             f"sign matrix for {ansatz.kind} width {ansatz.n_inputs} too large; "
             "use effective_angles/project_signs instead"
         )
-    idx = np.arange(n_states)
     signs = np.empty((n_states, ansatz.param_count))
     signs[:, 0] = 1.0
-    phase = np.zeros(n_states, dtype=bool)
-    for k, mask in enumerate(_control_masks(ansatz), start=1):
-        phase ^= (idx & mask) == mask
+    for k, phase in enumerate(_phases(ansatz), start=1):
         signs[:, k] = np.where(phase, -1.0, 1.0)
     return signs
 
@@ -250,13 +234,10 @@ def project_signs(ansatz: Ansatz, values: np.ndarray) -> np.ndarray:
     n_states = 1 << ansatz.n_inputs
     if values.shape != (n_states,):
         raise ValueError(f"expected {n_states} values, got shape {values.shape}")
-    idx = np.arange(n_states)
     total = values.sum()
     out = np.empty(ansatz.param_count)
     out[0] = total
-    phase = np.zeros(n_states, dtype=bool)
-    for k, mask in enumerate(_control_masks(ansatz), start=1):
-        phase ^= (idx & mask) == mask
+    for k, phase in enumerate(_phases(ansatz), start=1):
         out[k] = total - 2.0 * values[phase].sum()
     return out
 
@@ -282,14 +263,19 @@ class ConditionalOutput:
         return np.stack([self.amp0 ** 2, self.amp1 ** 2], axis=1) / n_states
 
 
-def conditional_output(ansatz: Ansatz, params) -> ConditionalOutput:
-    """Evaluate every block on |0>: cos/sin pairs, swapped where flipped."""
-    theta, flipped = effective_angles(ansatz, params)
+def _block_amplitudes(theta: np.ndarray, flipped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every block applied to |0>: (cos, sin) of theta, swapped where flipped.
+
+    ``theta`` may carry leading batch axes; ``flipped`` broadcasts over them.
+    """
     c, s = np.cos(theta), np.sin(theta)
-    return ConditionalOutput(
-        amp0=np.where(flipped, s, c),
-        amp1=np.where(flipped, c, s),
-    )
+    return np.where(flipped, s, c), np.where(flipped, c, s)
+
+
+def conditional_output(ansatz: Ansatz, params) -> ConditionalOutput:
+    """Evaluate every block on |0>."""
+    amp0, amp1 = _block_amplitudes(*effective_angles(ansatz, params))
+    return ConditionalOutput(amp0=amp0, amp1=amp1)
 
 
 def statevector(ansatz: Ansatz, params, max_qubits: int = DEFAULT_STATEVECTOR_CAP) -> np.ndarray:

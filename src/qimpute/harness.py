@@ -26,16 +26,20 @@ from typing import Callable
 import numpy as np
 
 from .analysis import (
+    MIN_SAMPLE_COUNT,
     fit_entropy_curve,
     gradient_statistics,
     gradient_statistics_vs_m,
     mean_entropy,
 )
 from .ansatz import (
+    _SIGN_MATRIX_MAX_ENTRIES,
+    ANSATZ_KINDS,
     DEFAULT_STATEVECTOR_CAP,
     Ansatz,
     ConditionalOutput,
     conditional_output,
+    param_count,
     statevector,
 )
 from .metrics import restricted_distance, worst_case_bound
@@ -83,7 +87,6 @@ OUTPUT_DIR_ENV = "QIMPUTE_OUT_DIR"
 BOUND_SLACK = 1e-9
 
 _TARGET_KINDS = ("gaussian", "majority", "random", "csv")
-_ANSATZ_CHOICES = ("linear", "quadratic", "exponential")
 
 
 class ConfigError(ValueError):
@@ -113,8 +116,8 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
         for kind in self.ansatz:
-            if kind not in _ANSATZ_CHOICES:
-                raise ConfigError(f"unknown ansatz kind {kind!r}; choose from {_ANSATZ_CHOICES}")
+            if kind not in ANSATZ_KINDS:
+                raise ConfigError(f"unknown ansatz kind {kind!r}; choose from {ANSATZ_KINDS}")
         if not self.ansatz:
             raise ConfigError("at least one ansatz kind is required")
         if self.target not in _TARGET_KINDS:
@@ -140,8 +143,24 @@ class ExperimentConfig:
             raise ConfigError("seeds must be nonnegative")
         if self.outcomes < 1:
             raise ConfigError(f"outcomes must be >= 1, got {self.outcomes}")
-        if self.samples < 1:
-            raise ConfigError(f"samples must be >= 1, got {self.samples}")
+        if self.samples < MIN_SAMPLE_COUNT:
+            raise ConfigError(f"samples must be >= {MIN_SAMPLE_COUNT}, got {self.samples}")
+        if self.m_sweep_n is not None and not 1 <= self.m_sweep_n <= DEFAULT_STATEVECTOR_CAP:
+            raise ConfigError(
+                f"m_sweep_n must lie in 1..{DEFAULT_STATEVECTOR_CAP}, got {self.m_sweep_n}"
+            )
+        # The Monte Carlo experiments build a dense sign matrix for every
+        # family they run, bp_stats also for its gate-count sweep; the
+        # others only for the exponential family's exact solve.
+        sampled = self.experiment in ("bp_stats", "entropy")
+        shapes = [(kind, self.n_max) for kind in self.ansatz if sampled or kind == "exponential"]
+        if self.experiment == "bp_stats" and self.m_sweep_n is not None:
+            shapes.append(("quadratic", self.m_sweep_n))
+        for kind, n in shapes:
+            if (1 << n) * param_count(kind, n) > _SIGN_MATRIX_MAX_ENTRIES:
+                raise ConfigError(
+                    f"{kind} width {n} needs a sign matrix above {_SIGN_MATRIX_MAX_ENTRIES} entries"
+                )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -264,16 +283,6 @@ def _write_sidecar(path: Path, experiment_id: str, resolved: dict, wall_time: fl
         handle.write("\n")
 
 
-def _make_ansatz(kind: str, n_inputs: int) -> Ansatz:
-    if kind == "linear":
-        return Ansatz.linear(n_inputs)
-    if kind == "quadratic":
-        return Ansatz.quadratic(n_inputs)
-    if kind == "exponential":
-        return Ansatz.exponential(n_inputs)
-    raise ConfigError(f"unknown ansatz kind {kind!r}")
-
-
 def _build_target(config: ExperimentConfig, n_inputs: int, seed: int) -> TargetDistribution:
     if config.target == "gaussian":
         return gaussian_target(n_inputs, center=config.center, sigma=config.sigma)
@@ -291,7 +300,7 @@ def _build_target(config: ExperimentConfig, n_inputs: int, seed: int) -> TargetD
 
 def _optimize(kind: str, target: TargetDistribution, optimizer: OptimizeConfig, seed: int):
     """Run the family-appropriate solver; exact solve for the exponential."""
-    ansatz = _make_ansatz(kind, target.n_inputs)
+    ansatz = getattr(Ansatz, kind)(target.n_inputs)
     if kind == "exponential":
         params = solve_exponential(target)
         return ansatz, params, objective(ansatz, params, target)
@@ -308,6 +317,7 @@ def _check_bound(violations: list[dict], context: dict, distance: float, n_param
 
 def _finalize(
     config: ExperimentConfig,
+    experiment_id: str,
     header: list[str],
     rows: list[dict],
     aggregates: dict,
@@ -315,7 +325,6 @@ def _finalize(
     started: float,
 ) -> ExperimentOutput:
     resolved = config.resolved()
-    experiment_id = _experiment_id(resolved)
     out_dir = _out_dir(config)
     csv_path = out_dir / f"{experiment_id}.csv"
     sidecar_path = out_dir / f"{experiment_id}.json"
@@ -331,10 +340,10 @@ def _finalize(
     )
 
 
-def _provenance(config: ExperimentConfig, seed: int, ansatz: Ansatz) -> dict:
+def _provenance(config: ExperimentConfig, experiment_id: str, seed: int, ansatz: Ansatz) -> dict:
     return {
         "experiment": config.experiment,
-        "experiment_id": _experiment_id(config.resolved()),
+        "experiment_id": experiment_id,
         "seed": seed,
         "ansatz": ansatz.kind,
         "n": ansatz.n_inputs,
@@ -351,6 +360,7 @@ _FIT_HEADER = [
 def run_fit(config: ExperimentConfig) -> ExperimentOutput:
     """Optimize once per (ansatz, width) and dump target vs circuit probabilities."""
     started = time.perf_counter()
+    experiment_id = _experiment_id(config.resolved())
     rows: list[dict] = []
     violations: list[dict] = []
     seed = config.seeds[0]
@@ -362,7 +372,7 @@ def run_fit(config: ExperimentConfig) -> ExperimentOutput:
             ansatz, params, distance = _optimize(kind, target, config.optimizer, seed)
             bound = _check_bound(violations, {"ansatz": kind, "n": n, "seed": seed},
                                  distance, ansatz.param_count, n)
-            base = _provenance(config, seed, ansatz)
+            base = _provenance(config, experiment_id, seed, ansatz)
             joint_circuit = conditional_output(ansatz, params).joint_probabilities()
             for b in range(target.n_states):
                 bits = format(b, f"0{n}b")
@@ -373,7 +383,7 @@ def run_fit(config: ExperimentConfig) -> ExperimentOutput:
                         circuit_prob=float(joint_circuit[b, a]),
                     ))
             rows.append(dict(base, row_type="summary", d_h=distance, bound=bound))
-    return _finalize(config, _FIT_HEADER, rows, {}, violations, started)
+    return _finalize(config, experiment_id, _FIT_HEADER, rows, {}, violations, started)
 
 
 _SWEEP_HEADER = [
@@ -384,6 +394,7 @@ _SWEEP_HEADER = [
 def run_sweep(config: ExperimentConfig) -> ExperimentOutput:
     """Optimized distance per width and family; random targets repeat per seed."""
     started = time.perf_counter()
+    experiment_id = _experiment_id(config.resolved())
     rows: list[dict] = []
     violations: list[dict] = []
     aggregates: list[dict] = []
@@ -399,7 +410,7 @@ def run_sweep(config: ExperimentConfig) -> ExperimentOutput:
                                      distance, ansatz.param_count, n)
                 distances.append(distance)
                 rows.append(dict(
-                    _provenance(config, seed, ansatz),
+                    _provenance(config, experiment_id, seed, ansatz),
                     target=config.target, bound=bound, d_h=distance,
                 ))
             aggregates.append({
@@ -411,7 +422,7 @@ def run_sweep(config: ExperimentConfig) -> ExperimentOutput:
                 "d_h_var": float(np.var(distances)),
                 "n_seeds": len(distances),
             })
-    return _finalize(config, _SWEEP_HEADER, rows, {"cells": aggregates}, violations, started)
+    return _finalize(config, experiment_id, _SWEEP_HEADER, rows, {"cells": aggregates}, violations, started)
 
 
 _GENERALIZE_HEADER = [
@@ -423,6 +434,7 @@ _GENERALIZE_HEADER = [
 def run_generalize(config: ExperimentConfig) -> ExperimentOutput:
     """Mask part of the target, optimize on the rest, and score each support."""
     started = time.perf_counter()
+    experiment_id = _experiment_id(config.resolved())
     fractions = config.fractions or (config.fraction,)
     rows: list[dict] = []
     violations: list[dict] = []
@@ -444,11 +456,11 @@ def run_generalize(config: ExperimentConfig) -> ExperimentOutput:
                 )
                 d_full = restricted_distance(full, out, "full").hellinger
                 rows.append(dict(
-                    _provenance(config, seed, ansatz),
+                    _provenance(config, experiment_id, seed, ansatz),
                     fraction=fraction, bound=bound, d_h_opt=distance,
                     d_h_seen=d_seen, d_h_unseen=d_unseen, d_h_full=d_full,
                 ))
-    return _finalize(config, _GENERALIZE_HEADER, rows, {}, violations, started)
+    return _finalize(config, experiment_id, _GENERALIZE_HEADER, rows, {}, violations, started)
 
 
 def sample_outcomes(out: ConditionalOutput, n_outcomes: int, rng: np.random.Generator) -> np.ndarray:
@@ -484,6 +496,7 @@ def run_majority_ratios(config: ExperimentConfig) -> ExperimentOutput:
     if config.target != "majority":
         raise ConfigError("majority_ratios requires the majority target")
     started = time.perf_counter()
+    experiment_id = _experiment_id(config.resolved())
     rows: list[dict] = []
     violations: list[dict] = []
     for kind in config.ansatz:
@@ -498,14 +511,14 @@ def run_majority_ratios(config: ExperimentConfig) -> ExperimentOutput:
                 draws = sample_outcomes(out, config.outcomes, stream(seed, "sampling"))
                 report = classify_outcomes(draws, full, masked.seen_mask)
                 rows.append(dict(
-                    _provenance(config, seed, ansatz),
+                    _provenance(config, experiment_id, seed, ansatz),
                     fraction=config.fraction, outcomes=report.outcomes,
                     hits_seen=report.hits_seen, hits_unseen=report.hits_unseen,
                     hits_total=report.hits_total, ratio_seen=report.ratio_seen,
                     ratio_unseen=report.ratio_unseen, ratio_total=report.ratio_total,
                     bound=bound, d_h_opt=distance,
                 ))
-    return _finalize(config, _RATIO_HEADER, rows, {}, violations, started)
+    return _finalize(config, experiment_id, _RATIO_HEADER, rows, {}, violations, started)
 
 
 _BP_HEADER = [
@@ -517,37 +530,34 @@ _BP_HEADER = [
 def run_bp_stats(config: ExperimentConfig) -> ExperimentOutput:
     """Gradient mean/variance versus width, plus an optional gate-count sweep."""
     started = time.perf_counter()
+    experiment_id = _experiment_id(config.resolved())
     rows: list[dict] = []
     seed = config.seeds[0]
+
+    def add_row(label: str, mode: str, stats) -> None:
+        rows.append({
+            "experiment": config.experiment, "experiment_id": experiment_id,
+            "seed": seed, "ansatz": label, "mode": mode,
+            "n": stats.n_inputs, "m": stats.n_params, "samples": stats.sample_count,
+            "mean_abs_gradient": stats.mean_abs_gradient,
+            "gradient_variance": stats.gradient_variance,
+        })
+
     for kind in config.ansatz:
         for n in range(config.n_min, config.n_max + 1):
             target = _build_target(config, n, seed)
-            stats = gradient_statistics(_make_ansatz(kind, n), target, config.samples, seed)
-            rows.append({
-                "experiment": config.experiment,
-                "experiment_id": _experiment_id(config.resolved()),
-                "seed": seed, "ansatz": kind, "mode": "vs_n",
-                "n": stats.n_inputs, "m": stats.n_params, "samples": stats.sample_count,
-                "mean_abs_gradient": stats.mean_abs_gradient,
-                "gradient_variance": stats.gradient_variance,
-            })
+            ansatz = getattr(Ansatz, kind)(n)
+            add_row(kind, "vs_n", gradient_statistics(ansatz, target, config.samples, seed))
     if config.m_sweep_n is not None:
         n = config.m_sweep_n
         target = _build_target(config, n, seed)
         for step, stats in enumerate(gradient_statistics_vs_m(n, target, config.samples, seed)):
-            rows.append({
-                "experiment": config.experiment,
-                "experiment_id": _experiment_id(config.resolved()),
-                "seed": seed, "ansatz": f"linear+{step}pairs", "mode": "vs_m",
-                "n": stats.n_inputs, "m": stats.n_params, "samples": stats.sample_count,
-                "mean_abs_gradient": stats.mean_abs_gradient,
-                "gradient_variance": stats.gradient_variance,
-            })
+            add_row(f"linear+{step}pairs", "vs_m", stats)
     # Curves above fix the first parameter; report (without asserting) how
     # another component compares at the smallest width.
     n = config.n_min
     spot_target = _build_target(config, n, seed)
-    spot_ansatz = _make_ansatz(config.ansatz[0], n)
+    spot_ansatz = getattr(Ansatz, config.ansatz[0])(n)
     first = gradient_statistics(spot_ansatz, spot_target, config.samples, seed)
     last = gradient_statistics(
         spot_ansatz, spot_target, config.samples, seed, param_index=spot_ansatz.param_count - 1
@@ -560,7 +570,7 @@ def run_bp_stats(config: ExperimentConfig) -> ExperimentOutput:
             "variance_last_param": last.gradient_variance,
         }
     }
-    return _finalize(config, _BP_HEADER, rows, aggregates, [], started)
+    return _finalize(config, experiment_id, _BP_HEADER, rows, aggregates, [], started)
 
 
 _ENTROPY_HEADER = [
@@ -571,16 +581,18 @@ _ENTROPY_HEADER = [
 def run_entropy(config: ExperimentConfig) -> ExperimentOutput:
     """Mean output-qubit entropy per width, with a saturation fit per family."""
     started = time.perf_counter()
+    experiment_id = _experiment_id(config.resolved())
     rows: list[dict] = []
     fits: dict[str, dict] = {}
     seed = config.seeds[0]
     for kind in config.ansatz:
         points = []
         for n in range(config.n_min, config.n_max + 1):
-            stats = mean_entropy(_make_ansatz(kind, n), config.samples, seed)
+            ansatz = getattr(Ansatz, kind)(n)
+            stats = mean_entropy(ansatz, config.samples, seed)
             points.append((n, stats.mean_entropy))
             rows.append(dict(
-                _provenance(config, seed, _make_ansatz(kind, n)),
+                _provenance(config, experiment_id, seed, ansatz),
                 samples=stats.sample_count, mean_entropy=stats.mean_entropy,
             ))
         if len(points) >= 4:
@@ -589,15 +601,15 @@ def run_entropy(config: ExperimentConfig) -> ExperimentOutput:
                 "a": fit.a, "b": fit.b, "c": fit.c,
                 "residual": fit.residual, "degenerate": fit.degenerate,
             }
-    return _finalize(config, _ENTROPY_HEADER, rows, {"fits": fits}, [], started)
+    return _finalize(config, experiment_id, _ENTROPY_HEADER, rows, {"fits": fits}, [], started)
 
 
 def _validate_oracle(statevector_fn: Callable, draws: int = 50) -> dict:
     worst = 0.0
     rng = stream(0, "validate-oracle")
-    for kind in _ANSATZ_CHOICES:
+    for kind in ANSATZ_KINDS:
         for n in range(2, 6):
-            ansatz = _make_ansatz(kind, n)
+            ansatz = getattr(Ansatz, kind)(n)
             for _ in range(draws):
                 params = rng.uniform(0.0, 2.0 * np.pi, ansatz.param_count)
                 analytic = statevector_fn(ansatz, params)
@@ -609,9 +621,9 @@ def _validate_oracle(statevector_fn: Callable, draws: int = 50) -> dict:
 def _validate_gradient(points: int = 7) -> dict:
     worst = 0.0
     rng = stream(0, "validate-gradient")
-    for kind in _ANSATZ_CHOICES:
+    for kind in ANSATZ_KINDS:
         for n in (2, 4, 6):
-            ansatz = _make_ansatz(kind, n)
+            ansatz = getattr(Ansatz, kind)(n)
             target = random_target(n, seed=n)
             for _ in range(points):
                 params = rng.uniform(0.0, 2.0 * np.pi, ansatz.param_count)

@@ -107,19 +107,35 @@ def adjusted_target_angles(ansatz: Ansatz, target: TargetDistribution) -> np.nda
     return np.where(flip_bits(ansatz), np.pi / 2.0 - bare, bare)
 
 
-def _overlap_terms(ansatz: Ansatz, target: TargetDistribution):
-    goal = adjusted_target_angles(ansatz, target)
+def _seen_overlap(ansatz: Ansatz, target: TargetDistribution):
+    """The seen-input overlap F as a function of the parameters.
+
+    Returns ``overlap(params, adjoint)``, giving (F, dF/dparams); the
+    derivative is computed (through ``project_signs``) only when
+    ``adjoint`` is true, and is None otherwise.
+    """
     seen = target.seen_mask
-    return seen, goal
+    seen_goal = adjusted_target_angles(ansatz, target)[seen]
+    seen_count = int(seen.sum())
+    n_states = target.n_states
+
+    def overlap(params, adjoint: bool):
+        theta, _ = effective_angles(ansatz, params)
+        residual = theta[seen] - seen_goal
+        value = np.cos(residual).mean()
+        if not adjoint:
+            return value, None
+        weights = np.zeros(n_states)
+        weights[seen] = np.sin(residual) / seen_count
+        return value, -project_signs(ansatz, weights)
+
+    return overlap
 
 
 def objective(ansatz: Ansatz, params, target: TargetDistribution) -> float:
     """Distance sqrt(1 - |F|) with F averaged over the seen inputs."""
-    params = _check_params(ansatz, params)
-    seen, goal = _overlap_terms(ansatz, target)
-    theta, _ = effective_angles(ansatz, params)
-    overlap = np.cos(theta[seen] - goal[seen]).mean()
-    return float(np.sqrt(max(1.0 - abs(overlap), 0.0)))
+    value, _ = _seen_overlap(ansatz, target)(params, adjoint=False)
+    return float(np.sqrt(max(1.0 - abs(value), 0.0)))
 
 
 def gradient(ansatz: Ansatz, params, target: TargetDistribution) -> np.ndarray:
@@ -129,21 +145,14 @@ def gradient(ansatz: Ansatz, params, target: TargetDistribution) -> np.ndarray:
     root is singular and the caller should treat the point as converged;
     a ValueError says so.
     """
-    params = _check_params(ansatz, params)
-    seen, goal = _overlap_terms(ansatz, target)
-    theta, _ = effective_angles(ansatz, params)
-    residual = theta[seen] - goal[seen]
-    overlap = np.cos(residual).mean()
-    distance = np.sqrt(max(1.0 - abs(overlap), 0.0))
+    e_value, e_grad = _surrogate(ansatz, target)(params)
+    distance = np.sqrt(max(e_value, 0.0))
     if distance <= EXACT_FIT_DISTANCE:
         raise ValueError(
             "objective is at an exact fit; the gradient is singular there "
             "and the point should be treated as converged"
         )
-    weights = np.zeros(target.n_states)
-    weights[seen] = np.sin(residual) / seen.sum()
-    d_overlap = -project_signs(ansatz, weights)
-    return -np.sign(overlap) * d_overlap / (2.0 * distance)
+    return e_grad / (2.0 * distance)
 
 
 def _bfgs_core(fun_grad, x0: np.ndarray, stop, max_iterations: int):
@@ -200,19 +209,11 @@ def _bfgs_core(fun_grad, x0: np.ndarray, stop, max_iterations: int):
 
 def _surrogate(ansatz: Ansatz, target: TargetDistribution):
     """(E, grad E) callable for E = 1 - |F|, smooth through exact fits."""
-    seen, goal = _overlap_terms(ansatz, target)
-    seen_goal = goal[seen]
-    seen_count = int(seen.sum())
-    n_states = target.n_states
+    overlap = _seen_overlap(ansatz, target)
 
     def fun_grad(params: np.ndarray):
-        theta, _ = effective_angles(ansatz, params)
-        residual = theta[seen] - seen_goal
-        overlap = np.cos(residual).mean()
-        weights = np.zeros(n_states)
-        weights[seen] = np.sin(residual) / seen_count
-        d_overlap = -project_signs(ansatz, weights)
-        return 1.0 - abs(overlap), -np.sign(overlap) * d_overlap
+        value, d_value = overlap(params, adjoint=True)
+        return 1.0 - abs(value), -np.sign(value) * d_value
 
     return fun_grad
 

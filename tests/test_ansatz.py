@@ -3,16 +3,37 @@ import pytest
 
 from qimpute.ansatz import (
     Ansatz,
-    block_rotation,
     conditional_output,
     effective_angles,
     flip_bits,
     param_count,
+    project_signs,
     sign_matrix,
     statevector,
 )
-from qimpute.bitphase import Bitstring, pair_phase, partial_sum
 from qimpute.oracle import gate_level_oracle
+
+
+def bit(value, n, i):
+    """b_i of the n-bit input ``value``; b_1 is the most significant bit."""
+    return (value >> (n - i)) & 1
+
+
+def walk_block(ansatz, params, value):
+    """(flip, angle) of one input's block, walking the gates one by one."""
+    angle = params[0]
+    phase = 0
+    for k, ctrl in enumerate(ansatz.controls, start=1):
+        if all(bit(value, ansatz.n_inputs, i) for i in ctrl):
+            phase ^= 1
+        angle += -params[k] if phase else params[k]
+    return phase, angle
+
+
+def block(ansatz, params, value):
+    """(flip, angle) of one input's block, read off ``effective_angles``."""
+    theta, flips = effective_angles(ansatz, params)
+    return int(flips[value]), theta[value]
 
 
 def test_param_counts():
@@ -56,25 +77,25 @@ def test_bad_control_sets_rejected():
 class TestBlockRotation:
     def test_two_input_even_block(self):
         a = np.array([0.3, 0.5, 0.7])
-        block = block_rotation(Ansatz.linear(2), a, Bitstring(0b00, 2))
-        assert block.flip == 0
-        assert block.angle == pytest.approx(a[0] + a[1] + a[2], abs=1e-15)
+        flip, angle = block(Ansatz.linear(2), a, 0b00)
+        assert flip == 0
+        assert angle == pytest.approx(a[0] + a[1] + a[2], abs=1e-15)
 
     def test_two_input_odd_parity_block(self):
         # b = 10 has prefix parities (1, 1): both later rotations flip sign
         a = np.array([0.3, 0.5, 0.7])
-        block = block_rotation(Ansatz.linear(2), a, Bitstring(0b10, 2))
-        assert block.flip == 1
-        assert block.angle == pytest.approx(a[0] - a[1] - a[2], abs=1e-15)
+        flip, angle = block(Ansatz.linear(2), a, 0b10)
+        assert flip == 1
+        assert angle == pytest.approx(a[0] - a[1] - a[2], abs=1e-15)
 
     def test_all_zero_input_gets_plain_sum(self):
         rng = np.random.default_rng(0)
         for kind in ("linear", "quadratic", "exponential"):
             ansatz = getattr(Ansatz, kind)(3)
             params = rng.uniform(-1, 1, ansatz.param_count)
-            block = block_rotation(ansatz, params, Bitstring(0, 3))
-            assert block.flip == 0
-            assert block.angle == pytest.approx(params.sum(), abs=1e-12)
+            flip, angle = block(ansatz, params, 0)
+            assert flip == 0
+            assert angle == pytest.approx(params.sum(), abs=1e-12)
 
     def test_matches_vectorized_angles(self):
         rng = np.random.default_rng(1)
@@ -83,25 +104,24 @@ class TestBlockRotation:
             params = rng.uniform(0, 2 * np.pi, ansatz.param_count)
             theta, flips = effective_angles(ansatz, params)
             for value in range(16):
-                block = block_rotation(ansatz, params, Bitstring(value, 4))
-                assert block.angle == pytest.approx(theta[value], abs=1e-12)
-                assert block.flip == int(flips[value])
+                flip, angle = walk_block(ansatz, params, value)
+                assert angle == pytest.approx(theta[value], abs=1e-12)
+                assert flip == int(flips[value])
 
     def test_angle_linear_in_params(self):
         rng = np.random.default_rng(2)
         ansatz = Ansatz.quadratic(3)
         x = rng.uniform(-2, 2, ansatz.param_count)
         y = rng.uniform(-2, 2, ansatz.param_count)
-        b = Bitstring(5, 3)
-        combined = block_rotation(ansatz, 1.5 * x + 0.25 * y, b).angle
-        parts = 1.5 * block_rotation(ansatz, x, b).angle + 0.25 * block_rotation(ansatz, y, b).angle
-        assert combined == pytest.approx(parts, abs=1e-12)
+        combined, _ = effective_angles(ansatz, 1.5 * x + 0.25 * y)
+        parts = 1.5 * effective_angles(ansatz, x)[0] + 0.25 * effective_angles(ansatz, y)[0]
+        assert np.allclose(combined, parts, rtol=0.0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            block_rotation(Ansatz.linear(2), [0.0, 0.0], Bitstring(0, 2))
+            effective_angles(Ansatz.linear(2), [0.0, 0.0])
         with pytest.raises(ValueError):
-            block_rotation(Ansatz.linear(2), [0.0] * 3, Bitstring(0, 3))
+            effective_angles(Ansatz.linear(2), np.zeros((1, 3)))
 
 
 class TestFlipBits:
@@ -109,21 +129,39 @@ class TestFlipBits:
         for n in range(1, 6):
             flips = flip_bits(Ansatz.linear(n))
             for value in range(1 << n):
-                assert int(flips[value]) == partial_sum(Bitstring(value, n), n)
+                assert int(flips[value]) == sum(bit(value, n, i) for i in range(1, n + 1)) % 2
 
     def test_quadratic_flip_adds_all_pairs_parity(self):
         for n in range(2, 6):
             flips = flip_bits(Ansatz.quadratic(n))
             for value in range(1 << n):
-                b = Bitstring(value, n)
-                expected = partial_sum(b, n) ^ pair_phase(b, n - 1, n)
-                assert int(flips[value]) == expected
+                bits = [bit(value, n, i) for i in range(1, n + 1)]
+                pairs = sum(bits[i] * bits[j] for i in range(n) for j in range(i + 1, n))
+                assert int(flips[value]) == (sum(bits) + pairs) % 2
 
     def test_exponential_flip_marks_every_nonzero_input(self):
         for n in range(1, 6):
             flips = flip_bits(Ansatz.exponential(n))
             assert not flips[0]
             assert flips[1:].all()
+
+
+def test_sign_views_agree():
+    # effective_angles, project_signs and flip_bits are matrix-free views of S
+    rng = np.random.default_rng(7)
+    ansatze = [
+        Ansatz.linear(4), Ansatz.quadratic(4), Ansatz.exponential(3),
+        Ansatz.linear_with_pairs(4, 2), Ansatz("custom", 3, ()),
+    ]
+    for ansatz in ansatze:
+        signs = sign_matrix(ansatz)
+        params = rng.uniform(-2, 2, ansatz.param_count)
+        values = rng.uniform(-1, 1, signs.shape[0])
+        theta, flips = effective_angles(ansatz, params)
+        assert np.allclose(theta, signs @ params, rtol=0.0, atol=1e-12)
+        assert np.allclose(project_signs(ansatz, values), signs.T @ values, rtol=0.0, atol=1e-12)
+        assert np.array_equal(flips, signs[:, -1] < 0)
+        assert np.array_equal(flip_bits(ansatz), flips)
 
 
 class TestConditionalOutput:

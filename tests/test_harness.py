@@ -66,6 +66,24 @@ class TestConfig:
             ExperimentConfig.from_dict({"experiment": "fit", "target": "csv"})
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"experiment": "sweep", "n_min": 9, "n_max": 99})
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"experiment": "bp_stats", "samples": 50})
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"experiment": "entropy", "samples": 10})
+        for width in (0, -3, 21):
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_dict({"experiment": "bp_stats", "m_sweep_n": width})
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"experiment": "bp_stats", "m_sweep_n": 17})
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(
+                {"experiment": "bp_stats", "ansatz": ["quadratic"], "n_min": 17, "n_max": 17})
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(
+                {"experiment": "entropy", "ansatz": ["linear"], "n_min": 20, "n_max": 20})
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(
+                {"experiment": "fit", "ansatz": ["exponential"], "n_min": 13, "n_max": 13})
 
 
 class TestFit:
@@ -251,6 +269,16 @@ class TestCli:
     def test_config_error_exit_code(self, capsys):
         assert main(["fit", "--target", "csv"]) == 2
         assert "config error" in capsys.readouterr().err
+        for argv in (
+            ["bp-stats", "--samples", "50"],
+            ["entropy", "--samples", "10"],
+            ["bp-stats", "--m-sweep-n", "0"],
+            ["bp-stats", "--m-sweep-n", "-3"],
+            ["bp-stats", "--ansatz", "quadratic", "--n", "17"],
+            ["entropy", "--ansatz", "linear", "--n", "20"],
+        ):
+            assert main(argv) == 2
+            assert "config error" in capsys.readouterr().err
 
     def test_fit_run(self, tmp_path, capsys):
         code = main([
