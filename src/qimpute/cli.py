@@ -2,8 +2,10 @@
 
 One subcommand per experiment.  Values resolve in three layers: built-in
 subcommand defaults, then a JSON config file (--config), then explicit
-flags, with later layers winning.  Exit codes: 0 on success, 1 when the
-validation suite fails, 2 on configuration errors.
+flags, with later layers winning.  One table, ``_FLAGS``, declares every
+flag with the config field it sets, and each subcommand accepts only the
+flags its experiment reads.  Exit codes: 0 on success, 1 when the
+validation suite fails, 2 on configuration and usage errors.
 """
 
 from __future__ import annotations
@@ -46,8 +48,45 @@ _DEFAULTS: dict[str, dict] = {
 _FULL_SCALE = {"n_min": 2, "n_max": 16, "seeds": list(range(1, 101)), "target": "random"}
 
 
-def _comma_list(text: str) -> list[str]:
-    return [item.strip() for item in text.split(",") if item.strip()]
+def _comma_list(item_type):
+    def parse(text: str) -> list:
+        return [item_type(item.strip()) for item in text.split(",") if item.strip()]
+
+    parse.__name__ = f"comma-separated {item_type.__name__}"
+    return parse
+
+
+_DATA = ("fit", "sweep", "generalize", "majority_ratios", "bp_stats", "entropy")
+_FITTING = ("fit", "sweep", "generalize", "majority_ratios")
+_TARGETED = ("fit", "sweep", "generalize", "bp_stats")
+
+# flag -> (config field, value type, help, subcommands whose runner reads it).
+# A bool type makes a switch; a field of None marks the flags
+# _resolve_config maps itself.
+_FLAGS = {
+    "--config": (None, str, "JSON config file; flags override its values", tuple(_DEFAULTS)),
+    "--out": ("out_dir", str, "output directory (default $QIMPUTE_OUT_DIR or ./results)",
+              tuple(_DEFAULTS)),
+    "--seed": (None, int, "single experiment seed", _DATA),
+    "--seeds": ("seeds", _comma_list(int), "comma-separated seed list", _DATA),
+    "--ansatz": ("ansatz", _comma_list(str), "comma-separated ansatz kinds", _DATA),
+    "--n": (None, int, "single input width", _DATA),
+    "--n-min": ("n_min", int, "smallest input width", _DATA),
+    "--n-max": ("n_max", int, "largest input width", _DATA),
+    "--target": ("target", str, "gaussian, majority, random or csv", _TARGETED),
+    "--csv": ("target_csv", str, "target CSV path (implies --target csv)", _TARGETED),
+    "--center": ("center", float, "gaussian target center override", _TARGETED),
+    "--sigma": ("sigma", float, "gaussian target width override", _TARGETED),
+    "--fraction": ("fraction", float, "masked fraction of inputs", ("fit", "majority_ratios")),
+    "--fractions": ("fractions", _comma_list(float), "comma-separated mask fractions",
+                    ("generalize",)),
+    "--samples": ("samples", int, "Monte Carlo sample count", ("bp_stats", "entropy")),
+    "--outcomes": ("outcomes", int, "sampled outcome count", ("majority_ratios",)),
+    "--m-sweep-n": ("m_sweep_n", int, "also sweep gate count at this fixed width",
+                    ("bp_stats",)),
+    "--restarts": (None, int, "optimizer restarts", _FITTING),
+    "--full-scale": (None, bool, "long-running full reproduction scale", ("sweep",)),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,34 +98,18 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _DEFAULTS:
         cmd = sub.add_parser(name.replace("_", "-"), help=f"run the {name} experiment")
         cmd.set_defaults(experiment=name)
-        cmd.add_argument("--config", help="JSON config file; flags override its values")
-        cmd.add_argument("--seed", type=int, help="single experiment seed")
-        cmd.add_argument("--seeds", type=_comma_list, help="comma-separated seed list")
-        cmd.add_argument("--out", help="output directory (default $QIMPUTE_OUT_DIR or ./results)")
-        cmd.add_argument("--ansatz", type=_comma_list, help="comma-separated ansatz kinds")
-        cmd.add_argument("--n", type=int, help="single input width")
-        cmd.add_argument("--n-min", type=int, dest="n_min")
-        cmd.add_argument("--n-max", type=int, dest="n_max")
-        cmd.add_argument("--target", choices=["gaussian", "majority", "random", "csv"])
-        cmd.add_argument("--csv", dest="target_csv", help="target CSV path (with --target csv)")
-        cmd.add_argument("--fraction", type=float, help="masked fraction of inputs")
-        cmd.add_argument("--fractions", type=_comma_list, help="comma-separated mask fractions")
-        cmd.add_argument("--center", type=float, help="gaussian target center override")
-        cmd.add_argument("--sigma", type=float, help="gaussian target width override")
-        cmd.add_argument("--samples", type=int, help="Monte Carlo sample count")
-        cmd.add_argument("--outcomes", type=int, help="sampled outcome count")
-        cmd.add_argument("--m-sweep-n", type=int, dest="m_sweep_n",
-                         help="also sweep gate count at this fixed width (bp-stats)")
-        cmd.add_argument("--restarts", type=int, help="optimizer restarts")
-        cmd.add_argument("--full-scale", action="store_true",
-                         help="long-running full reproduction scale (sweep)")
+        for flag, (field, kind, text, readers) in _FLAGS.items():
+            if name in readers:
+                parse = {"action": "store_true"} if kind is bool else {"type": kind}
+                cmd.add_argument(flag, dest=field, help=text, **parse)
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
+    flags = vars(args)
     data = dict(_DEFAULTS[args.experiment])
     data["experiment"] = args.experiment
-    if args.config:
+    if flags.get("config"):
         try:
             with open(args.config) as handle:
                 file_data = json.load(handle)
@@ -96,52 +119,20 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"config {args.config} must hold a JSON object")
         data.update(file_data)
 
-    if args.full_scale:
+    if flags.get("full_scale"):
         data.update(_FULL_SCALE)
-    if args.seed is not None:
+    if flags.get("seed") is not None:
         data["seeds"] = [args.seed]
-    if args.seeds is not None:
-        try:
-            data["seeds"] = [int(s) for s in args.seeds]
-        except ValueError as exc:
-            raise ConfigError(f"seeds must be integers: {exc}") from exc
-    if args.out is not None:
-        data["out_dir"] = args.out
-    if args.ansatz is not None:
-        data["ansatz"] = args.ansatz
-    if args.n is not None:
+    if flags.get("n") is not None:
         data["n_min"] = data["n_max"] = args.n
-    if args.n_min is not None:
-        data["n_min"] = args.n_min
-    if args.n_max is not None:
-        data["n_max"] = args.n_max
-    if args.target is not None:
-        data["target"] = args.target
-    if args.target_csv is not None:
-        data["target_csv"] = args.target_csv
-        if args.target is None:
-            data["target"] = "csv"
-    if args.fraction is not None:
-        data["fraction"] = args.fraction
-    if args.fractions is not None:
-        try:
-            data["fractions"] = [float(f) for f in args.fractions]
-        except ValueError as exc:
-            raise ConfigError(f"fractions must be numbers: {exc}") from exc
-    if args.center is not None:
-        data["center"] = args.center
-    if args.sigma is not None:
-        data["sigma"] = args.sigma
-    if args.samples is not None:
-        data["samples"] = args.samples
-    if args.outcomes is not None:
-        data["outcomes"] = args.outcomes
-    if args.m_sweep_n is not None:
-        data["m_sweep_n"] = args.m_sweep_n
-    if args.restarts is not None:
-        optimizer = dict(data.get("optimizer") or {})
-        optimizer["restarts"] = args.restarts
-        data["optimizer"] = optimizer
+    for field, *_ in _FLAGS.values():
+        if field and flags.get(field) is not None:
+            data[field] = flags[field]
+    if flags.get("target_csv") is not None and flags.get("target") is None:
+        data["target"] = "csv"
+    optimizer = data.get("optimizer") or {}
+    if flags.get("restarts") is not None and isinstance(optimizer, dict):
+        data["optimizer"] = dict(optimizer, restarts=args.restarts)
     return ExperimentConfig.from_dict(data)
 
 
@@ -149,6 +140,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _resolve_config(args)
+        if config.experiment != "validate":
+            output = run_experiment(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -163,11 +156,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"report written to {path}")
         return 0 if report["passed"] else 1
 
-    try:
-        output = run_experiment(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     print(f"{output.experiment_id}: {len(output.rows)} rows -> {output.csv_path}")
     if output.aggregates:
         print(json.dumps(output.aggregates, indent=2, sort_keys=True))

@@ -7,9 +7,15 @@ function of (configuration, seeds): floats are written with shortest
 round-trip formatting and newlines are fixed, so reruns are byte
 identical.  Wall time lives in the sidecar only, for exactly that reason.
 
-Every optimized run is checked against the capacity bound
-sqrt(1 - M/2^N); violations are collected (and reported), never silently
-dropped, since exceeding the bound can only mean the optimizer failed.
+The experiments that optimize (fit, sweep, generalize, majority_ratios
+and the validate bound suite) share one fit loop, ``_fits``: for every
+ansatz, width, seed and mask fraction, in CSV row order, it builds the
+target, masks it, optimizes, and checks the distance against the capacity
+bound sqrt(1 - M/2^N).  Violations are collected (and reported), never
+silently dropped, since exceeding the bound can only mean the optimizer
+failed.  Each runner only turns fits (or Monte Carlo statistics) into
+rows; one envelope, ``_Run``, times the run, hashes the experiment id,
+adds the provenance columns and writes the CSV and the sidecar.
 """
 
 from __future__ import annotations
@@ -20,8 +26,10 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
+from itertools import groupby
 from pathlib import Path
-from typing import Callable
+from types import NoneType
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -45,6 +53,7 @@ from .ansatz import (
 from .metrics import restricted_distance, worst_case_bound
 from .optimize import (
     OptimizeConfig,
+    check_field_types,
     finite_difference_gradient,
     gradient,
     minimize,
@@ -113,6 +122,13 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
+        check_field_types(self, {
+            "n_min": (int,), "n_max": (int,), "seeds": (int,), "outcomes": (int,),
+            "samples": (int,), "m_sweep_n": (int, NoneType), "fraction": (int, float),
+            "fractions": (int, float), "center": (int, float, NoneType),
+            "sigma": (int, float, NoneType), "optimizer": (OptimizeConfig,),
+            "target_csv": (str, NoneType), "out_dir": (str, NoneType),
+        }, error=ConfigError)
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
         for kind in self.ansatz:
@@ -132,11 +148,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"input width {self.n_max} exceeds the analytic-path cap {DEFAULT_STATEVECTOR_CAP}"
             )
-        if not 0.0 <= self.fraction < 1.0:
-            raise ConfigError(f"fraction must lie in [0, 1), got {self.fraction}")
-        for f in self.fractions:
+        for f in (self.fraction, *self.fractions):
             if not 0.0 <= f < 1.0:
-                raise ConfigError(f"fractions must lie in [0, 1), got {f}")
+                raise ConfigError(f"mask fractions must lie in [0, 1), got {f}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if any(s < 0 for s in self.seeds):
@@ -234,15 +248,6 @@ class ExperimentOutput:
     bound_violations: list[dict]
 
 
-def _experiment_id(resolved: dict) -> str:
-    # The id names the scientific configuration; where it lands on disk
-    # must not change it.
-    hashed = {k: v for k, v in resolved.items() if k != "out_dir"}
-    blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha1(blob.encode("utf-8")).hexdigest()[:10]
-    return f"{resolved['experiment']}-{digest}"
-
-
 def _out_dir(config: ExperimentConfig) -> Path:
     root = config.out_dir or os.environ.get(OUTPUT_DIR_ENV) or "results"
     path = Path(root)
@@ -262,25 +267,60 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_rows(path: Path, header: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(row.get(col)) for col in header])
-
-
-def _write_sidecar(path: Path, experiment_id: str, resolved: dict, wall_time: float, aggregates: dict, violations: list[dict]) -> None:
-    payload = {
-        "experiment_id": experiment_id,
-        "config": resolved,
-        "wall_time_s": wall_time,
-        "aggregates": aggregates,
-        "bound_violations": violations,
-    }
+def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+class _Run:
+    """The envelope of one data experiment.
+
+    Created when the run starts: it hashes the experiment id, starts the
+    clock and holds the bound violations the run's fits append.  ``write``
+    adds the provenance columns every row shares and writes the CSV and
+    the sidecar.  The CSV header is the rows' keys in first-seen order, so
+    a runner's row dicts fix its column order.
+    """
+
+    def __init__(self, config: ExperimentConfig) -> None:
+        self.started = time.perf_counter()
+        self.config = config
+        self.resolved = config.resolved()
+        # The id names the scientific configuration; where it lands on
+        # disk must not change it.
+        hashed = {k: v for k, v in self.resolved.items() if k != "out_dir"}
+        blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha1(blob.encode("utf-8")).hexdigest()[:10]
+        self.experiment_id = f"{config.experiment}-{digest}"
+        self.violations: list[dict] = []
+
+    def write(self, rows: list[dict], aggregates: dict | None = None) -> ExperimentOutput:
+        rows = [dict(experiment=self.config.experiment, experiment_id=self.experiment_id, **row)
+                for row in rows]
+        header = list(dict.fromkeys(key for row in rows for key in row))
+        aggregates = aggregates or {}
+        csv_path = _out_dir(self.config) / f"{self.experiment_id}.csv"
+        with open(csv_path, "w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_cell(row.get(col)) for col in header] for row in rows)
+        sidecar_path = csv_path.with_suffix(".json")
+        _write_json(sidecar_path, {
+            "experiment_id": self.experiment_id,
+            "config": self.resolved,
+            "wall_time_s": time.perf_counter() - self.started,
+            "aggregates": aggregates,
+            "bound_violations": self.violations,
+        })
+        return ExperimentOutput(
+            experiment_id=self.experiment_id,
+            csv_path=csv_path,
+            sidecar_path=sidecar_path,
+            rows=rows,
+            aggregates=aggregates,
+            bound_violations=self.violations,
+        )
 
 
 def _build_target(config: ExperimentConfig, n_inputs: int, seed: int) -> TargetDistribution:
@@ -308,159 +348,118 @@ def _optimize(kind: str, target: TargetDistribution, optimizer: OptimizeConfig, 
     return ansatz, result.best_params, result.final_distance
 
 
-def _check_bound(violations: list[dict], context: dict, distance: float, n_params: int, n_inputs: int) -> float:
-    bound = worst_case_bound(n_params, n_inputs)
-    if distance > bound + BOUND_SLACK:
-        violations.append(dict(context, d_h=distance, bound=bound))
-    return bound
+@dataclass(frozen=True)
+class _Fit:
+    """One optimized fit: its target before (``full``) and after masking."""
+
+    seed: int
+    fraction: float
+    full: TargetDistribution
+    target: TargetDistribution
+    ansatz: Ansatz
+    params: np.ndarray
+    distance: float
+    bound: float
+
+    @property
+    def columns(self) -> dict:
+        return {"seed": self.seed, "ansatz": self.ansatz.kind,
+                "n": self.ansatz.n_inputs, "m": self.ansatz.param_count}
 
 
-def _finalize(
+def _fits(
     config: ExperimentConfig,
-    experiment_id: str,
-    header: list[str],
-    rows: list[dict],
-    aggregates: dict,
     violations: list[dict],
-    started: float,
-) -> ExperimentOutput:
-    resolved = config.resolved()
-    out_dir = _out_dir(config)
-    csv_path = out_dir / f"{experiment_id}.csv"
-    sidecar_path = out_dir / f"{experiment_id}.json"
-    _write_rows(csv_path, header, rows)
-    _write_sidecar(sidecar_path, experiment_id, resolved, time.perf_counter() - started, aggregates, violations)
-    return ExperimentOutput(
-        experiment_id=experiment_id,
-        csv_path=csv_path,
-        sidecar_path=sidecar_path,
-        rows=rows,
-        aggregates=aggregates,
-        bound_violations=violations,
-    )
+    seeds: tuple[int, ...],
+    fractions: tuple[float, ...],
+) -> Iterator[_Fit]:
+    """Every fit of a run in CSV row order: ansatz, width, seed, fraction.
 
-
-def _provenance(config: ExperimentConfig, experiment_id: str, seed: int, ansatz: Ansatz) -> dict:
-    return {
-        "experiment": config.experiment,
-        "experiment_id": experiment_id,
-        "seed": seed,
-        "ansatz": ansatz.kind,
-        "n": ansatz.n_inputs,
-        "m": ansatz.param_count,
-    }
-
-
-_FIT_HEADER = [
-    "experiment", "experiment_id", "seed", "ansatz", "n", "m",
-    "row_type", "bitstring", "output_bit", "target_prob", "circuit_prob", "d_h", "bound",
-]
+    A fit whose distance exceeds the capacity bound is appended to
+    ``violations``.  Every stage draws from its own named seed stream, so
+    the loop order changes no value.
+    """
+    for kind in config.ansatz:
+        for n in range(config.n_min, config.n_max + 1):
+            for seed in seeds:
+                full = _build_target(config, n, seed)
+                for fraction in fractions:
+                    target = mask_fraction(full, fraction, seed) if fraction > 0 else full
+                    ansatz, params, distance = _optimize(kind, target, config.optimizer, seed)
+                    bound = worst_case_bound(ansatz.param_count, n)
+                    if distance > bound + BOUND_SLACK:
+                        violations.append({
+                            "ansatz": kind, "n": n, "target": config.target, "seed": seed,
+                            "fraction": fraction, "d_h": distance, "bound": bound,
+                        })
+                    yield _Fit(seed, fraction, full, target, ansatz, params, distance, bound)
 
 
 def run_fit(config: ExperimentConfig) -> ExperimentOutput:
     """Optimize once per (ansatz, width) and dump target vs circuit probabilities."""
-    started = time.perf_counter()
-    experiment_id = _experiment_id(config.resolved())
+    run = _Run(config)
     rows: list[dict] = []
-    violations: list[dict] = []
-    seed = config.seeds[0]
-    for kind in config.ansatz:
-        for n in range(config.n_min, config.n_max + 1):
-            target = _build_target(config, n, seed)
-            if config.fraction > 0:
-                target = mask_fraction(target, config.fraction, seed)
-            ansatz, params, distance = _optimize(kind, target, config.optimizer, seed)
-            bound = _check_bound(violations, {"ansatz": kind, "n": n, "seed": seed},
-                                 distance, ansatz.param_count, n)
-            base = _provenance(config, experiment_id, seed, ansatz)
-            joint_circuit = conditional_output(ansatz, params).joint_probabilities()
-            for b in range(target.n_states):
-                bits = format(b, f"0{n}b")
-                for a in (0, 1):
-                    rows.append(dict(
-                        base, row_type="prob", bitstring=bits, output_bit=a,
-                        target_prob=float(target.probs[b, a]),
-                        circuit_prob=float(joint_circuit[b, a]),
-                    ))
-            rows.append(dict(base, row_type="summary", d_h=distance, bound=bound))
-    return _finalize(config, experiment_id, _FIT_HEADER, rows, {}, violations, started)
-
-
-_SWEEP_HEADER = [
-    "experiment", "experiment_id", "seed", "ansatz", "n", "m", "target", "bound", "d_h",
-]
+    for fit in _fits(config, run.violations, config.seeds[:1], (config.fraction,)):
+        joint_circuit = conditional_output(fit.ansatz, fit.params).joint_probabilities()
+        for b in range(fit.target.n_states):
+            bits = format(b, f"0{fit.ansatz.n_inputs}b")
+            for a in (0, 1):
+                rows.append(dict(
+                    fit.columns, row_type="prob", bitstring=bits, output_bit=a,
+                    target_prob=float(fit.target.probs[b, a]),
+                    circuit_prob=float(joint_circuit[b, a]),
+                ))
+        rows.append(dict(fit.columns, row_type="summary", d_h=fit.distance, bound=fit.bound))
+    return run.write(rows)
 
 
 def run_sweep(config: ExperimentConfig) -> ExperimentOutput:
     """Optimized distance per width and family; random targets repeat per seed."""
-    started = time.perf_counter()
-    experiment_id = _experiment_id(config.resolved())
-    rows: list[dict] = []
-    violations: list[dict] = []
-    aggregates: list[dict] = []
+    run = _Run(config)
     seeds = config.seeds if config.target == "random" else config.seeds[:1]
-    for kind in config.ansatz:
-        for n in range(config.n_min, config.n_max + 1):
-            distances = []
-            bound = None
-            for seed in seeds:
-                target = _build_target(config, n, seed)
-                ansatz, _, distance = _optimize(kind, target, config.optimizer, seed)
-                bound = _check_bound(violations, {"ansatz": kind, "n": n, "seed": seed},
-                                     distance, ansatz.param_count, n)
-                distances.append(distance)
-                rows.append(dict(
-                    _provenance(config, experiment_id, seed, ansatz),
-                    target=config.target, bound=bound, d_h=distance,
-                ))
-            aggregates.append({
-                "ansatz": kind,
-                "n": n,
-                "target": config.target,
-                "bound": bound,
-                "d_h_mean": float(np.mean(distances)),
-                "d_h_var": float(np.var(distances)),
-                "n_seeds": len(distances),
-            })
-    return _finalize(config, experiment_id, _SWEEP_HEADER, rows, {"cells": aggregates}, violations, started)
-
-
-_GENERALIZE_HEADER = [
-    "experiment", "experiment_id", "seed", "ansatz", "n", "m", "fraction",
-    "bound", "d_h_opt", "d_h_seen", "d_h_unseen", "d_h_full",
-]
+    rows = [
+        dict(fit.columns, target=config.target, bound=fit.bound, d_h=fit.distance)
+        for fit in _fits(config, run.violations, seeds, (0.0,))
+    ]
+    cells = []
+    for (kind, n), cell in groupby(rows, key=lambda row: (row["ansatz"], row["n"])):
+        cell = list(cell)
+        distances = [row["d_h"] for row in cell]
+        cells.append({
+            "ansatz": kind,
+            "n": n,
+            "target": config.target,
+            "bound": cell[-1]["bound"],
+            "d_h_mean": float(np.mean(distances)),
+            "d_h_var": float(np.var(distances)),
+            "n_seeds": len(distances),
+        })
+    return run.write(rows, {"cells": cells})
 
 
 def run_generalize(config: ExperimentConfig) -> ExperimentOutput:
-    """Mask part of the target, optimize on the rest, and score each support."""
-    started = time.perf_counter()
-    experiment_id = _experiment_id(config.resolved())
-    fractions = config.fractions or (config.fraction,)
+    """Mask part of the target, optimize on the rest, and score each support.
+
+    The unseen distance is left empty when the mask hid no input, as it
+    does for fraction 0 and whenever floor(fraction * 2^N) is 0.
+    """
+    run = _Run(config)
     rows: list[dict] = []
-    violations: list[dict] = []
-    seed = config.seeds[0]
-    for kind in config.ansatz:
-        for n in range(config.n_min, config.n_max + 1):
-            full = _build_target(config, n, seed)
-            for fraction in fractions:
-                masked = mask_fraction(full, fraction, seed) if fraction > 0 else full
-                ansatz, params, distance = _optimize(kind, masked, config.optimizer, seed)
-                bound = _check_bound(
-                    violations, {"ansatz": kind, "n": n, "fraction": fraction, "seed": seed},
-                    distance, ansatz.param_count, n)
-                out = conditional_output(ansatz, params)
-                d_seen = restricted_distance(masked, out, "seen").hellinger
-                d_unseen = (
-                    restricted_distance(full, out, "unseen", mask=masked.seen_mask).hellinger
-                    if fraction > 0 else None
-                )
-                d_full = restricted_distance(full, out, "full").hellinger
-                rows.append(dict(
-                    _provenance(config, experiment_id, seed, ansatz),
-                    fraction=fraction, bound=bound, d_h_opt=distance,
-                    d_h_seen=d_seen, d_h_unseen=d_unseen, d_h_full=d_full,
-                ))
-    return _finalize(config, experiment_id, _GENERALIZE_HEADER, rows, {}, violations, started)
+    fractions = config.fractions or (config.fraction,)
+    for fit in _fits(config, run.violations, config.seeds[:1], fractions):
+        out = conditional_output(fit.ansatz, fit.params)
+        hid_inputs = fit.target.seen_mask.sum() < fit.full.seen_mask.sum()
+        d_unseen = (
+            restricted_distance(fit.full, out, "unseen", mask=fit.target.seen_mask).hellinger
+            if hid_inputs else None
+        )
+        rows.append(dict(
+            fit.columns, fraction=fit.fraction, bound=fit.bound, d_h_opt=fit.distance,
+            d_h_seen=restricted_distance(fit.target, out, "seen").hellinger,
+            d_h_unseen=d_unseen,
+            d_h_full=restricted_distance(fit.full, out, "full").hellinger,
+        ))
+    return run.write(rows)
 
 
 def sample_outcomes(out: ConditionalOutput, n_outcomes: int, rng: np.random.Generator) -> np.ndarray:
@@ -484,59 +483,34 @@ def classify_outcomes(
     )
 
 
-_RATIO_HEADER = [
-    "experiment", "experiment_id", "seed", "ansatz", "n", "m", "fraction", "outcomes",
-    "hits_seen", "hits_unseen", "hits_total", "ratio_seen", "ratio_unseen", "ratio_total",
-    "bound", "d_h_opt",
-]
-
-
 def run_majority_ratios(config: ExperimentConfig) -> ExperimentOutput:
     """Train on a masked rule target, sample the circuit, count rule-correct draws."""
     if config.target != "majority":
         raise ConfigError("majority_ratios requires the majority target")
-    started = time.perf_counter()
-    experiment_id = _experiment_id(config.resolved())
+    run = _Run(config)
     rows: list[dict] = []
-    violations: list[dict] = []
-    for kind in config.ansatz:
-        for n in range(config.n_min, config.n_max + 1):
-            full = majority_target(n)
-            for seed in config.seeds:
-                masked = mask_fraction(full, config.fraction, seed) if config.fraction > 0 else full
-                ansatz, params, distance = _optimize(kind, masked, config.optimizer, seed)
-                bound = _check_bound(violations, {"ansatz": kind, "n": n, "seed": seed},
-                                     distance, ansatz.param_count, n)
-                out = conditional_output(ansatz, params)
-                draws = sample_outcomes(out, config.outcomes, stream(seed, "sampling"))
-                report = classify_outcomes(draws, full, masked.seen_mask)
-                rows.append(dict(
-                    _provenance(config, experiment_id, seed, ansatz),
-                    fraction=config.fraction, outcomes=report.outcomes,
-                    hits_seen=report.hits_seen, hits_unseen=report.hits_unseen,
-                    hits_total=report.hits_total, ratio_seen=report.ratio_seen,
-                    ratio_unseen=report.ratio_unseen, ratio_total=report.ratio_total,
-                    bound=bound, d_h_opt=distance,
-                ))
-    return _finalize(config, experiment_id, _RATIO_HEADER, rows, {}, violations, started)
-
-
-_BP_HEADER = [
-    "experiment", "experiment_id", "seed", "ansatz", "mode", "n", "m", "samples",
-    "mean_abs_gradient", "gradient_variance",
-]
+    for fit in _fits(config, run.violations, config.seeds, (config.fraction,)):
+        out = conditional_output(fit.ansatz, fit.params)
+        draws = sample_outcomes(out, config.outcomes, stream(fit.seed, "sampling"))
+        report = classify_outcomes(draws, fit.full, fit.target.seen_mask)
+        rows.append(dict(
+            fit.columns, fraction=fit.fraction, outcomes=report.outcomes,
+            hits_seen=report.hits_seen, hits_unseen=report.hits_unseen,
+            hits_total=report.hits_total, ratio_seen=report.ratio_seen,
+            ratio_unseen=report.ratio_unseen, ratio_total=report.ratio_total,
+            bound=fit.bound, d_h_opt=fit.distance,
+        ))
+    return run.write(rows)
 
 
 def run_bp_stats(config: ExperimentConfig) -> ExperimentOutput:
     """Gradient mean/variance versus width, plus an optional gate-count sweep."""
-    started = time.perf_counter()
-    experiment_id = _experiment_id(config.resolved())
+    run = _Run(config)
     rows: list[dict] = []
     seed = config.seeds[0]
 
     def add_row(label: str, mode: str, stats) -> None:
         rows.append({
-            "experiment": config.experiment, "experiment_id": experiment_id,
             "seed": seed, "ansatz": label, "mode": mode,
             "n": stats.n_inputs, "m": stats.n_params, "samples": stats.sample_count,
             "mean_abs_gradient": stats.mean_abs_gradient,
@@ -553,35 +527,27 @@ def run_bp_stats(config: ExperimentConfig) -> ExperimentOutput:
         target = _build_target(config, n, seed)
         for step, stats in enumerate(gradient_statistics_vs_m(n, target, config.samples, seed)):
             add_row(f"linear+{step}pairs", "vs_m", stats)
-    # Curves above fix the first parameter; report (without asserting) how
-    # another component compares at the smallest width.
+    # Curves above fix the first parameter (the first row is the first
+    # family at the smallest width); report (without asserting) how the
+    # last component compares there.
     n = config.n_min
-    spot_target = _build_target(config, n, seed)
     spot_ansatz = getattr(Ansatz, config.ansatz[0])(n)
-    first = gradient_statistics(spot_ansatz, spot_target, config.samples, seed)
-    last = gradient_statistics(
-        spot_ansatz, spot_target, config.samples, seed, param_index=spot_ansatz.param_count - 1
-    )
+    last = gradient_statistics(spot_ansatz, _build_target(config, n, seed), config.samples, seed,
+                               param_index=spot_ansatz.param_count - 1)
     aggregates = {
         "parameter_uniformity_spot_check": {
             "n": n,
             "ansatz": config.ansatz[0],
-            "variance_first_param": first.gradient_variance,
+            "variance_first_param": rows[0]["gradient_variance"],
             "variance_last_param": last.gradient_variance,
         }
     }
-    return _finalize(config, experiment_id, _BP_HEADER, rows, aggregates, [], started)
-
-
-_ENTROPY_HEADER = [
-    "experiment", "experiment_id", "seed", "ansatz", "n", "m", "samples", "mean_entropy",
-]
+    return run.write(rows, aggregates)
 
 
 def run_entropy(config: ExperimentConfig) -> ExperimentOutput:
     """Mean output-qubit entropy per width, with a saturation fit per family."""
-    started = time.perf_counter()
-    experiment_id = _experiment_id(config.resolved())
+    run = _Run(config)
     rows: list[dict] = []
     fits: dict[str, dict] = {}
     seed = config.seeds[0]
@@ -591,70 +557,60 @@ def run_entropy(config: ExperimentConfig) -> ExperimentOutput:
             ansatz = getattr(Ansatz, kind)(n)
             stats = mean_entropy(ansatz, config.samples, seed)
             points.append((n, stats.mean_entropy))
-            rows.append(dict(
-                _provenance(config, experiment_id, seed, ansatz),
-                samples=stats.sample_count, mean_entropy=stats.mean_entropy,
-            ))
+            rows.append({
+                "seed": seed, "ansatz": kind, "n": n, "m": ansatz.param_count,
+                "samples": stats.sample_count, "mean_entropy": stats.mean_entropy,
+            })
         if len(points) >= 4:
             fit = fit_entropy_curve(points)
             fits[kind] = {
                 "a": fit.a, "b": fit.b, "c": fit.c,
                 "residual": fit.residual, "degenerate": fit.degenerate,
             }
-    return _finalize(config, experiment_id, _ENTROPY_HEADER, rows, {"fits": fits}, [], started)
+    return run.write(rows, {"fits": fits})
+
+
+def _random_points(label: str, widths, draws: int):
+    """Uniform random parameters for every family and width, from one stream."""
+    rng = stream(0, label)
+    for kind in ANSATZ_KINDS:
+        for n in widths:
+            ansatz = getattr(Ansatz, kind)(n)
+            for _ in range(draws):
+                yield ansatz, rng.uniform(0.0, 2.0 * np.pi, ansatz.param_count)
 
 
 def _validate_oracle(statevector_fn: Callable, draws: int = 50) -> dict:
-    worst = 0.0
-    rng = stream(0, "validate-oracle")
-    for kind in ANSATZ_KINDS:
-        for n in range(2, 6):
-            ansatz = getattr(Ansatz, kind)(n)
-            for _ in range(draws):
-                params = rng.uniform(0.0, 2.0 * np.pi, ansatz.param_count)
-                analytic = statevector_fn(ansatz, params)
-                literal = gate_level_oracle(ansatz, params)
-                worst = max(worst, float(np.max(np.abs(analytic - literal))))
+    worst = max(
+        float(np.max(np.abs(statevector_fn(ansatz, params) - gate_level_oracle(ansatz, params))))
+        for ansatz, params in _random_points("validate-oracle", range(2, 6), draws)
+    )
     return {"passed": worst < 1e-10, "max_deviation": worst, "tolerance": 1e-10, "draws": draws}
 
 
 def _validate_gradient(points: int = 7) -> dict:
+    targets = {n: random_target(n, seed=n) for n in (2, 4, 6)}
     worst = 0.0
-    rng = stream(0, "validate-gradient")
-    for kind in ANSATZ_KINDS:
-        for n in (2, 4, 6):
-            ansatz = getattr(Ansatz, kind)(n)
-            target = random_target(n, seed=n)
-            for _ in range(points):
-                params = rng.uniform(0.0, 2.0 * np.pi, ansatz.param_count)
-                analytic = gradient(ansatz, params, target)
-                numeric = finite_difference_gradient(ansatz, params, target)
-                worst = max(worst, float(np.max(np.abs(analytic - numeric))))
+    for ansatz, params in _random_points("validate-gradient", targets, points):
+        target = targets[ansatz.n_inputs]
+        analytic = gradient(ansatz, params, target)
+        numeric = finite_difference_gradient(ansatz, params, target)
+        worst = max(worst, float(np.max(np.abs(analytic - numeric))))
     return {"passed": worst < 1e-6, "max_abs_error": worst, "tolerance": 1e-6}
 
 
 def _validate_bounds() -> dict:
-    violations: list[dict] = []
-    checked = 0
     optimizer = OptimizeConfig(restarts=5)
-    for kind in ("linear", "quadratic"):
-        for n in range(2, 7):
-            target = majority_target(n)
-            ansatz, _, distance = _optimize(kind, target, optimizer, seed=1)
-            _check_bound(violations, {"ansatz": kind, "n": n, "target": "majority"},
-                         distance, ansatz.param_count, n)
-            checked += 1
-    for seed in range(1, 6):
-        target = random_target(6, seed)
-        ansatz, _, distance = _optimize("quadratic", target, optimizer, seed=seed)
-        _check_bound(violations, {"ansatz": "quadratic", "n": 6, "target": "random", "seed": seed},
-                     distance, ansatz.param_count, 6)
-        checked += 1
-    masked = mask_fraction(gaussian_target(6), 0.5, seed=1)
-    ansatz, _, distance = _optimize("linear", masked, optimizer, seed=1)
-    _check_bound(violations, {"ansatz": "linear", "n": 6, "target": "gaussian", "fraction": 0.5},
-                 distance, ansatz.param_count, 6)
-    checked += 1
+    runs = (
+        ExperimentConfig("validate", ansatz=("linear", "quadratic"), n_min=2, n_max=6,
+                         target="majority", optimizer=optimizer),
+        ExperimentConfig("validate", ansatz=("quadratic",), n_min=6, n_max=6,
+                         target="random", seeds=(1, 2, 3, 4, 5), optimizer=optimizer),
+        ExperimentConfig("validate", n_min=6, n_max=6, fraction=0.5, optimizer=optimizer),
+    )
+    violations: list[dict] = []
+    checked = sum(1 for config in runs
+                  for _ in _fits(config, violations, config.seeds, (config.fraction,)))
     return {"passed": not violations, "runs_checked": checked, "violations": violations}
 
 
@@ -688,9 +644,7 @@ def run_validate(
     path = None
     if config is not None:
         path = _out_dir(config) / "validation.json"
-        with open(path, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(path, report)
     return report, path
 
 

@@ -21,6 +21,7 @@ angle system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import NoneType
 
 import numpy as np
 
@@ -55,6 +56,17 @@ _CURVATURE_FLOOR = 1e-12
 _INIT_SCHEMES = ("uniform_random", "zeros")
 
 
+def check_field_types(obj, types: dict[str, tuple[type, ...]], error: type = TypeError) -> None:
+    """Raise ``error`` unless each named field (each item of a sequence
+    field) is an instance of one of its types.  A bool is not a number."""
+    for name, allowed in types.items():
+        value = getattr(obj, name)
+        for item in value if isinstance(value, (tuple, list)) else (value,):
+            if isinstance(item, bool) or not isinstance(item, allowed):
+                names = " or ".join(kind.__name__ for kind in allowed)
+                raise error(f"{name} must be {names}, got {item!r}")
+
+
 @dataclass(frozen=True)
 class OptimizeConfig:
     """Knobs of the quasi-Newton search.
@@ -71,6 +83,10 @@ class OptimizeConfig:
     init_scheme: str = "uniform_random"
 
     def __post_init__(self) -> None:
+        check_field_types(self, {
+            "max_iterations": (int, NoneType), "gradient_tolerance": (int, float),
+            "restarts": (int,), "seed": (int,),
+        })
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.gradient_tolerance <= 0:

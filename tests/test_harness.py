@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qimpute.ansatz import Ansatz, conditional_output, statevector
-from qimpute.cli import main
+from qimpute.cli import _FLAGS, _build_parser, _resolve_config, main
 from qimpute.harness import (
     BOUND_SLACK,
     ConfigError,
@@ -26,6 +26,18 @@ from qimpute.harness import (
 from qimpute.optimize import OptimizeConfig
 from qimpute.rng import stream
 from qimpute.targets import majority_target, mask_fraction, save_target_csv, gaussian_target
+
+
+# (experiment, config-file values whose types the config rejects)
+BADLY_TYPED_CONFIGS = (
+    ("fit", {"optimizer": "x"}),
+    ("entropy", {"optimizer": "x"}),
+    ("fit", {"optimizer": {"restarts": 2.5}}),
+    ("fit", {"n_min": 2.5, "n_max": 3}),
+    ("bp_stats", {"samples": 150.5}),
+    ("majority_ratios", {"outcomes": 2.5}),
+    ("fit", {"center": "a"}),
+)
 
 
 def read_rows(path):
@@ -84,6 +96,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(
                 {"experiment": "fit", "ansatz": ["exponential"], "n_min": 13, "n_max": 13})
+        for experiment, bad in BADLY_TYPED_CONFIGS:
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_dict({"experiment": experiment, **bad})
 
 
 class TestFit:
@@ -155,15 +170,18 @@ class TestSweep:
 
 class TestGeneralize:
     def test_zero_fraction_degenerates_to_full(self, tmp_path):
-        config = ExperimentConfig(
-            experiment="generalize", ansatz=("linear",), n_min=3, n_max=3,
-            target="gaussian", fractions=(0.0,), seeds=(1,), out_dir=str(tmp_path),
-            optimizer=OptimizeConfig(restarts=3),
-        )
-        output = run_generalize(config)
-        row = read_rows(output.csv_path)[0]
-        assert row["d_h_unseen"] == ""
-        assert float(row["d_h_seen"]) == pytest.approx(float(row["d_h_full"]), abs=1e-12)
+        # floor(0.1 * 2^3) is 0, so fraction 0.1 at N=3 hides nothing either
+        for fractions in ((0.0,), (0.0, 0.1)):
+            config = ExperimentConfig(
+                experiment="generalize", ansatz=("linear",), n_min=3, n_max=3,
+                target="gaussian", fractions=fractions, seeds=(1,), out_dir=str(tmp_path),
+                optimizer=OptimizeConfig(restarts=3),
+            )
+            rows = read_rows(run_generalize(config).csv_path)
+            assert len(rows) == len(fractions)
+            for row in rows:
+                assert row["d_h_unseen"] == ""
+                assert float(row["d_h_seen"]) == pytest.approx(float(row["d_h_full"]), abs=1e-12)
 
     def test_masked_columns_populated(self, tmp_path):
         config = ExperimentConfig(
@@ -266,9 +284,14 @@ class TestValidate:
 
 
 class TestCli:
-    def test_config_error_exit_code(self, capsys):
+    def test_config_error_exit_code(self, tmp_path, capsys):
         assert main(["fit", "--target", "csv"]) == 2
         assert "config error" in capsys.readouterr().err
+        config_argvs = []
+        for index, (experiment, bad) in enumerate(BADLY_TYPED_CONFIGS):
+            path = tmp_path / f"bad{index}.json"
+            path.write_text(json.dumps(bad))
+            config_argvs.append([experiment.replace("_", "-"), "--config", str(path)])
         for argv in (
             ["bp-stats", "--samples", "50"],
             ["entropy", "--samples", "10"],
@@ -276,9 +299,70 @@ class TestCli:
             ["bp-stats", "--m-sweep-n", "-3"],
             ["bp-stats", "--ansatz", "quadratic", "--n", "17"],
             ["entropy", "--ansatz", "linear", "--n", "20"],
+            *config_argvs,
         ):
             assert main(argv) == 2
             assert "config error" in capsys.readouterr().err
+
+    def test_subcommands_reject_flags_their_runner_ignores(self, capsys):
+        for argv in (
+            ["validate", "--seed", "1"],
+            ["validate", "--n", "3"],
+            ["entropy", "--n", "3", "--restarts", "3"],
+            ["entropy", "--target", "majority"],
+            ["entropy", "--fraction", "0.5"],
+            ["fit", "--full-scale"],
+            ["fit", "--m-sweep-n", "4"],
+            ["sweep", "--outcomes", "8"],
+            ["bp-stats", "--restarts", "2"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                _build_parser().parse_args(argv)
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_flag_table_sets_config_fields(self, tmp_path, capsys):
+        def resolve(*argv):
+            return _resolve_config(_build_parser().parse_args(list(argv)))
+
+        target_path = tmp_path / "target.csv"
+        save_target_csv(gaussian_target(2), str(target_path))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"optimizer": {"init_scheme": "zeros", "restarts": 1}}))
+        cases = {
+            "--config": (["fit", "--config", str(config_path)], "optimizer",
+                         OptimizeConfig(init_scheme="zeros", restarts=1)),
+            "--out": (["fit", "--out", "somewhere"], "out_dir", "somewhere"),
+            "--seed": (["fit", "--seed", "7"], "seeds", (7,)),
+            "--seeds": (["sweep", "--seeds", "3,1,2"], "seeds", (3, 1, 2)),
+            "--ansatz": (["fit", "--ansatz", "linear,quadratic"], "ansatz", ("linear", "quadratic")),
+            "--n": (["fit", "--n", "4"], "n_max", 4),
+            "--n-min": (["sweep", "--n-min", "3"], "n_min", 3),
+            "--n-max": (["sweep", "--n-max", "5"], "n_max", 5),
+            "--target": (["fit", "--target", "random"], "target", "random"),
+            "--csv": (["fit", "--csv", str(target_path)], "target", "csv"),
+            "--center": (["fit", "--center", "1.5"], "center", 1.5),
+            "--sigma": (["bp-stats", "--sigma", "0.25"], "sigma", 0.25),
+            "--fraction": (["majority-ratios", "--fraction", "0.25"], "fraction", 0.25),
+            "--fractions": (["generalize", "--fractions", "0.1,0.3"], "fractions", (0.1, 0.3)),
+            "--samples": (["entropy", "--samples", "200"], "samples", 200),
+            "--outcomes": (["majority-ratios", "--outcomes", "64"], "outcomes", 64),
+            "--m-sweep-n": (["bp-stats", "--m-sweep-n", "5"], "m_sweep_n", 5),
+            "--restarts": (["fit", "--config", str(config_path), "--restarts", "3"], "optimizer",
+                           OptimizeConfig(init_scheme="zeros", restarts=3)),
+            "--full-scale": (["sweep", "--full-scale"], "n_max", 16),
+        }
+        assert set(cases) == set(_FLAGS)
+        for flag, (argv, field, expected) in cases.items():
+            assert getattr(resolve(*argv), field) == expected, flag
+        assert resolve("fit", "--n", "4").n_min == 4
+        assert resolve("fit", "--csv", str(target_path)).target_csv == str(target_path)
+        full = resolve("sweep", "--full-scale")
+        assert (full.n_min, full.target, full.seeds) == (2, "random", tuple(range(1, 101)))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fit", "--seeds", "a,b"])
+        assert exit_info.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_fit_run(self, tmp_path, capsys):
         code = main([
