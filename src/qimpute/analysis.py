@@ -13,7 +13,7 @@ saturation and is fit with a pinned-base exponential approach to 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +35,11 @@ __all__ = [
 ]
 
 MIN_SAMPLE_COUNT = 100
+
+# Entries of the samples x 2^N angle block held at once: the Monte Carlo
+# statistics work through their samples in row chunks of this size, so
+# their memory does not grow with the sample count.
+_SAMPLE_CHUNK_ENTRIES = 1 << 20
 
 # The saturation model depends on its base a and rate b only through
 # b*ln(a), so the base is pinned by convention and only the rate and
@@ -72,6 +77,16 @@ class ExpFit:
     degenerate: bool
 
 
+def _sample_chunks(sample_count: int, n_inputs: int) -> Iterator[slice]:
+    """Consecutive row slices of the samples, each within the chunk budget.
+
+    A row holds 2^N angles; every slice has at least one row.
+    """
+    step = max(1, _SAMPLE_CHUNK_ENTRIES >> n_inputs)
+    for start in range(0, sample_count, step):
+        yield slice(start, min(start + step, sample_count))
+
+
 def gradient_statistics(
     ansatz: Ansatz,
     target: TargetDistribution,
@@ -89,16 +104,19 @@ def gradient_statistics(
         raise ValueError(f"sample_count must be >= {MIN_SAMPLE_COUNT}, got {sample_count}")
     if not 0 <= param_index < ansatz.param_count:
         raise ValueError(f"param_index {param_index} outside 0..{ansatz.param_count - 1}")
-    goal = adjusted_target_angles(ansatz, target)
     seen = target.seen_mask
+    seen_goal = adjusted_target_angles(ansatz, target)[seen]
     rng = stream(seed, "gradient-stats")
     signs = sign_matrix(ansatz)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=(sample_count, ansatz.param_count)) @ signs.T
-    residual = theta[:, seen] - goal[seen]
-    overlap = np.cos(residual).mean(axis=1)
-    d_overlap = -(np.sin(residual) * signs[seen, param_index]).mean(axis=1)
-    distance = np.sqrt(np.clip(1.0 - np.abs(overlap), 0.0, None))
-    grads = -np.sign(overlap) * d_overlap / (2.0 * np.maximum(distance, 1e-15))
+    seen_signs = signs[seen, param_index]
+    draws = rng.uniform(0.0, 2.0 * np.pi, size=(sample_count, ansatz.param_count))
+    grads = np.empty(sample_count)
+    for rows in _sample_chunks(sample_count, ansatz.n_inputs):
+        residual = (draws[rows] @ signs.T)[:, seen] - seen_goal
+        overlap = np.cos(residual).mean(axis=1)
+        d_overlap = -(np.sin(residual) * seen_signs).mean(axis=1)
+        distance = np.sqrt(np.clip(1.0 - np.abs(overlap), 0.0, None))
+        grads[rows] = -np.sign(overlap) * d_overlap / (2.0 * np.maximum(distance, 1e-15))
     return GradientStats(
         n_inputs=ansatz.n_inputs,
         n_params=ansatz.param_count,
@@ -159,7 +177,10 @@ def mean_entropy(ansatz: Ansatz, sample_count: int = 1000, seed: int = 0) -> Ent
         raise ValueError(f"sample_count must be >= {MIN_SAMPLE_COUNT}, got {sample_count}")
     rng = stream(seed, "entropy-stats")
     draws = rng.uniform(0.0, 2.0 * np.pi, size=(sample_count, ansatz.param_count))
-    entropies = _entropy(*_block_amplitudes(draws @ sign_matrix(ansatz).T, flip_bits(ansatz)))
+    signs, flips = sign_matrix(ansatz), flip_bits(ansatz)
+    entropies = np.empty(sample_count)
+    for rows in _sample_chunks(sample_count, ansatz.n_inputs):
+        entropies[rows] = _entropy(*_block_amplitudes(draws[rows] @ signs.T, flips))
     return EntropyStats(
         n_inputs=ansatz.n_inputs,
         n_params=ansatz.param_count,

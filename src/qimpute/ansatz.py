@@ -20,8 +20,11 @@ gate sets are the all-pairs and all-subsets product parities.
 Input bitstrings are encoded as integers with b_1 the most significant bit:
 b = 0b101 at N=3 has b_1=1, b_2=0, b_3=1, and every module in this package
 uses that order.  The running fire parity is computed in one place, the
-generator ``_phases``; the forward map (``effective_angles``), its adjoint
-(``project_signs``), the dense sign matrix and the flip bits all read it.
+generator ``_phases``, which each ``Ansatz`` consumes once to build its
+dense, read-only sign matrix S (2^N x M, cached on the instance: O(M 2^N)
+memory for its lifetime).  The forward map (``effective_angles``), its
+adjoint (``project_signs``), the flip bits and ``sign_matrix`` all read
+that cached S, so each evaluation is one matrix-vector product.
 
 All gates involved (H, R_y, X and controlled X) are real in the
 computational basis, so amplitudes are stored as plain floats.
@@ -132,6 +135,36 @@ class Ansatz:
             sum(1 << (self.n_inputs - i) for i in ctrl) for ctrl in self.controls
         )
 
+    @cached_property
+    def signs(self) -> np.ndarray:
+        """The dense, read-only (2^N x M) sign matrix S: theta = S @ params.
+
+        Built once per instance from ``_phases``; refused (ValueError)
+        above ``_SIGN_MATRIX_MAX_ENTRIES`` entries.
+        """
+        n_states = 1 << self.n_inputs
+        if n_states * self.param_count > _SIGN_MATRIX_MAX_ENTRIES:
+            raise ValueError(
+                f"sign matrix for {self.kind} width {self.n_inputs} exceeds "
+                f"{_SIGN_MATRIX_MAX_ENTRIES} entries"
+            )
+        signs = np.empty((n_states, self.param_count))
+        signs[:, 0] = 1.0
+        for k, phase in enumerate(_phases(self), start=1):
+            signs[:, k] = np.where(phase, -1.0, 1.0)
+        signs.flags.writeable = False
+        return signs
+
+    @cached_property
+    def flips(self) -> np.ndarray:
+        """Read-only flip bit of every block: where S's last column is -1.
+
+        With no gates that column is the bare rotation's, so nothing flips.
+        """
+        flips = self.signs[:, -1] < 0
+        flips.flags.writeable = False
+        return flips
+
     @classmethod
     def linear(cls, n_inputs: int) -> "Ansatz":
         return cls("linear", n_inputs, tuple(_single_controls(n_inputs)))
@@ -194,52 +227,30 @@ def _phases(ansatz: Ansatz):
 def effective_angles(ansatz: Ansatz, params) -> tuple[np.ndarray, np.ndarray]:
     """Vector of theta_b over all 2^N bitstrings, plus the flip bits.
 
-    Runs in O(M * 2^N) time and O(2^N) memory.
+    One product with the instance's cached sign matrix: O(M * 2^N) time
+    per call, on top of the O(M * 2^N) memory the cache holds for the
+    life of the ``Ansatz``.  The flip bits are the cached read-only array.
     """
-    params = _check_params(ansatz, params)
-    theta = np.full(1 << ansatz.n_inputs, params[0])
-    # With no gates nothing fires; otherwise the last phase is the flip.
-    phase = np.zeros(theta.size, dtype=bool)
-    for k, phase in enumerate(_phases(ansatz), start=1):
-        theta += np.where(phase, -params[k], params[k])
-    return theta, phase
+    return ansatz.signs @ _check_params(ansatz, params), ansatz.flips
 
 
 def flip_bits(ansatz: Ansatz) -> np.ndarray:
-    """Parameter-independent flip bit of every block, as a bool vector."""
-    phase = np.zeros(1 << ansatz.n_inputs, dtype=bool)
-    for phase in _phases(ansatz):
-        pass
-    return phase
+    """Parameter-independent flip bit of every block, as a read-only bool vector."""
+    return ansatz.flips
 
 
 def sign_matrix(ansatz: Ansatz) -> np.ndarray:
-    """The dense (2^N x M) matrix of parameter signs: theta = S @ params."""
-    n_states = 1 << ansatz.n_inputs
-    if n_states * ansatz.param_count > _SIGN_MATRIX_MAX_ENTRIES:
-        raise ValueError(
-            f"sign matrix for {ansatz.kind} width {ansatz.n_inputs} too large; "
-            "use effective_angles/project_signs instead"
-        )
-    signs = np.empty((n_states, ansatz.param_count))
-    signs[:, 0] = 1.0
-    for k, phase in enumerate(_phases(ansatz), start=1):
-        signs[:, k] = np.where(phase, -1.0, 1.0)
-    return signs
+    """The cached, read-only (2^N x M) matrix of parameter signs: theta = S @ params."""
+    return ansatz.signs
 
 
 def project_signs(ansatz: Ansatz, values: np.ndarray) -> np.ndarray:
-    """Adjoint of the sign map: S.T @ values, without materializing S."""
+    """Adjoint of the sign map: S.T @ values, from the cached S."""
     values = np.asarray(values, dtype=float)
     n_states = 1 << ansatz.n_inputs
     if values.shape != (n_states,):
         raise ValueError(f"expected {n_states} values, got shape {values.shape}")
-    total = values.sum()
-    out = np.empty(ansatz.param_count)
-    out[0] = total
-    for k, phase in enumerate(_phases(ansatz), start=1):
-        out[k] = total - 2.0 * values[phase].sum()
-    return out
+    return values @ ansatz.signs
 
 
 @dataclass(frozen=True)

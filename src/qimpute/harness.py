@@ -163,11 +163,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"m_sweep_n must lie in 1..{DEFAULT_STATEVECTOR_CAP}, got {self.m_sweep_n}"
             )
-        # The Monte Carlo experiments build a dense sign matrix for every
-        # family they run, bp_stats also for its gate-count sweep; the
-        # others only for the exponential family's exact solve.
-        sampled = self.experiment in ("bp_stats", "entropy")
-        shapes = [(kind, self.n_max) for kind in self.ansatz if sampled or kind == "exponential"]
+        # Every family at every width runs on its cached dense sign matrix,
+        # bp_stats also for its gate-count sweep.
+        shapes = [(kind, self.n_max) for kind in self.ansatz]
         if self.experiment == "bp_stats" and self.m_sweep_n is not None:
             shapes.append(("quadratic", self.m_sweep_n))
         for kind, n in shapes:
@@ -384,7 +382,10 @@ def _fits(
             for seed in seeds:
                 full = _build_target(config, n, seed)
                 for fraction in fractions:
-                    target = mask_fraction(full, fraction, seed) if fraction > 0 else full
+                    try:
+                        target = mask_fraction(full, fraction, seed) if fraction > 0 else full
+                    except ValueError as exc:
+                        raise ConfigError(str(exc)) from exc
                     ansatz, params, distance = _optimize(kind, target, config.optimizer, seed)
                     bound = worst_case_bound(ansatz.param_count, n)
                     if distance > bound + BOUND_SLACK:

@@ -185,11 +185,12 @@ def random_target(n_inputs: int, seed: int) -> TargetDistribution:
 
 
 def mask_fraction(target: TargetDistribution, fraction: float, seed: int) -> TargetDistribution:
-    """Hide a uniformly random floor(fraction * 2^N) of the inputs.
+    """Hide floor(fraction * 2^N) inputs, drawn uniformly from the seen ones.
 
     Hidden inputs get zero mass and leave the seen-input conditionals
-    untouched; the remaining joint renormalizes to 1.  Uses its own seed
-    stream so train/test splits never couple to optimizer seeds.
+    untouched; the remaining joint renormalizes to 1.  A mask that would
+    hide every seen input is a ValueError.  Uses its own seed stream so
+    train/test splits never couple to optimizer seeds.
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"fraction must lie in [0, 1), got {fraction}")
@@ -202,12 +203,16 @@ def mask_fraction(target: TargetDistribution, fraction: float, seed: int) -> Tar
             seen_mask=target.seen_mask.copy(),
             cond=target.conditionals().copy(),
         )
-    rng = stream(seed, "mask")
-    hidden = rng.choice(n_states, size=n_masked, replace=False)
+    seen_inputs = np.flatnonzero(target.seen_mask)
+    if n_masked >= seen_inputs.size:
+        raise ValueError(
+            f"masking fraction {fraction} hides {n_masked} of {n_states} inputs, "
+            f"leaving none of the {seen_inputs.size} seen inputs"
+        )
+    # On a fully seen target this draws the same indices as choice(n_states).
+    hidden = stream(seed, "mask").choice(seen_inputs, size=n_masked, replace=False)
     seen = target.seen_mask.copy()
     seen[hidden] = False
-    if not seen.any():
-        raise ValueError(f"masking fraction {fraction} would leave no seen inputs")
     # Seen conditional rows are copied bit for bit; only the joint weight
     # per seen input changes.
     cond = np.where(seen[:, None], target.conditionals(), 0.0)

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
+import qimpute.analysis
 from qimpute.analysis import (
+    _block_amplitudes,
+    _entropy,
     fit_entropy_curve,
     gradient_statistics,
     gradient_statistics_vs_m,
     mean_entropy,
     target_entropy,
 )
-from qimpute.ansatz import Ansatz, conditional_output
-from qimpute.optimize import finite_difference_gradient, gradient
+from qimpute.ansatz import Ansatz, conditional_output, flip_bits, sign_matrix
+from qimpute.optimize import adjusted_target_angles, finite_difference_gradient, gradient
 from qimpute.rng import stream
-from qimpute.targets import gaussian_target, random_target
+from qimpute.targets import gaussian_target, mask_fraction, random_target
 
 
 class TestTargetEntropy:
@@ -115,6 +118,35 @@ class TestGradientStatistics:
         assert 0.1 < last.gradient_variance / first.gradient_variance < 10.0
         with pytest.raises(ValueError):
             gradient_statistics(Ansatz.linear(4), target, sample_count=500, seed=6, param_index=5)
+
+
+def one_block_statistics(ansatz, target, sample_count, seed):
+    """(mean |gradient|, gradient variance, mean entropy) from one samples x 2^N block."""
+    signs = sign_matrix(ansatz)
+    seen = target.seen_mask
+    goal = adjusted_target_angles(ansatz, target)
+    draws = stream(seed, "gradient-stats").uniform(0, 2 * np.pi, (sample_count, ansatz.param_count))
+    residual = (draws @ signs.T)[:, seen] - goal[seen]
+    overlap = np.cos(residual).mean(axis=1)
+    d_overlap = -np.sin(residual).mean(axis=1)
+    distance = np.sqrt(np.clip(1.0 - np.abs(overlap), 0.0, None))
+    grads = -np.sign(overlap) * d_overlap / (2.0 * np.maximum(distance, 1e-15))
+    draws = stream(seed, "entropy-stats").uniform(0, 2 * np.pi, (sample_count, ansatz.param_count))
+    entropies = _entropy(*_block_amplitudes(draws @ signs.T, flip_bits(ansatz)))
+    return np.abs(grads).mean(), grads.var(), entropies.mean()
+
+
+@pytest.mark.parametrize("budget", [1, 7 * 32, 1 << 20])
+def test_chunked_statistics_match_one_block(monkeypatch, budget):
+    # 150 samples at N=5: one row per chunk, 22 chunks of up to 7 rows, one chunk
+    monkeypatch.setattr(qimpute.analysis, "_SAMPLE_CHUNK_ENTRIES", budget)
+    ansatz = Ansatz.quadratic(5)
+    target = mask_fraction(random_target(5, seed=1), 0.3, seed=2)
+    grad_stats = gradient_statistics(ansatz, target, sample_count=150, seed=4)
+    entropy_stats = mean_entropy(ansatz, sample_count=150, seed=4)
+    expected = one_block_statistics(ansatz, target, 150, 4)
+    got = (grad_stats.mean_abs_gradient, grad_stats.gradient_variance, entropy_stats.mean_entropy)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestGradientStatisticsSweep:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qimpute.ansatz
 from qimpute.ansatz import (
     Ansatz,
     conditional_output,
@@ -28,6 +29,47 @@ def walk_block(ansatz, params, value):
             phase ^= 1
         angle += -params[k] if phase else params[k]
     return phase, angle
+
+
+def op_on_qubit(op, bit_position, n_qubits):
+    """Embed a 1-qubit operator at a bit position of the full index."""
+    upper = np.eye(1 << (n_qubits - bit_position - 1))
+    lower = np.eye(1 << bit_position)
+    return np.kron(np.kron(upper, op), lower)
+
+
+def controlled_not(control_bits, dim):
+    """Permutation matrix flipping index bit 0 when all control bits are set."""
+    mask = 0
+    for p in control_bits:
+        mask |= 1 << p
+    mat = np.zeros((dim, dim))
+    for col in range(dim):
+        row = col ^ 1 if (col & mask) == mask else col
+        mat[row, col] = 1.0
+    return mat
+
+
+def dense_oracle(ansatz, params):
+    """The circuit as a product of explicit 2^(N+1) x 2^(N+1) gate matrices."""
+    n = ansatz.n_inputs
+    n_qubits = n + 1
+    dim = 1 << n_qubits
+    state = np.zeros(dim)
+    state[0] = 1.0
+
+    def rotation(angle):
+        c, s = np.cos(angle), np.sin(angle)
+        return np.array([[c, -s], [s, c]])
+
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    for i in range(1, n + 1):
+        state = op_on_qubit(hadamard, n - i + 1, n_qubits) @ state
+    state = op_on_qubit(rotation(params[0]), 0, n_qubits) @ state
+    for k, ctrl in enumerate(ansatz.controls, start=1):
+        state = controlled_not([n - i + 1 for i in ctrl], dim) @ state
+        state = op_on_qubit(rotation(params[k]), 0, n_qubits) @ state
+    return state
 
 
 def block(ansatz, params, value):
@@ -164,6 +206,30 @@ def test_sign_views_agree():
         assert np.array_equal(flip_bits(ansatz), flips)
 
 
+def test_sign_matrix_built_once_and_read_only(monkeypatch):
+    consumed = []
+    phases = qimpute.ansatz._phases
+
+    def counting_phases(ansatz):
+        consumed.append(ansatz)
+        return phases(ansatz)
+
+    monkeypatch.setattr(qimpute.ansatz, "_phases", counting_phases)
+    ansatz = Ansatz.quadratic(4)
+    for _ in range(3):
+        effective_angles(ansatz, np.zeros(ansatz.param_count))
+        project_signs(ansatz, np.ones(16))
+        flip_bits(ansatz)
+        sign_matrix(ansatz)
+    assert consumed == [ansatz]
+    with pytest.raises(ValueError):
+        sign_matrix(ansatz)[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        flip_bits(ansatz)[0] = True
+    with pytest.raises(ValueError):
+        Ansatz.linear(20).signs
+
+
 class TestConditionalOutput:
     def test_zero_parameters_follow_parity(self):
         for n in range(1, 6):
@@ -217,6 +283,15 @@ class TestOracleAgreement:
                     params = rng.uniform(0, 2 * np.pi, ansatz.param_count)
                     dev = np.abs(statevector(ansatz, params) - gate_level_oracle(ansatz, params))
                     assert dev.max() < 1e-10
+
+    def test_matches_dense_reference(self):
+        rng = np.random.default_rng(8)
+        for kind in ("linear", "quadratic", "exponential"):
+            for n in range(1, 5):
+                ansatz = getattr(Ansatz, kind)(n)
+                params = rng.uniform(0, 2 * np.pi, ansatz.param_count)
+                dev = np.abs(gate_level_oracle(ansatz, params) - dense_oracle(ansatz, params))
+                assert dev.max() < 1e-14
 
     def test_single_input_block_structure(self):
         # blocks R_y(a0+a1) and X.R_y(a0-a1), read off the oracle amplitudes

@@ -96,6 +96,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(
                 {"experiment": "fit", "ansatz": ["exponential"], "n_min": 13, "n_max": 13})
+        # Every fit runs on a cached dense sign matrix.
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(
+                {"experiment": "fit", "ansatz": ["linear"], "n_min": 20, "n_max": 20})
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(
+                {"experiment": "sweep", "ansatz": ["quadratic"], "n_min": 17, "n_max": 17})
         for experiment, bad in BADLY_TYPED_CONFIGS:
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_dict({"experiment": experiment, **bad})
@@ -287,6 +294,9 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert main(["fit", "--target", "csv"]) == 2
         assert "config error" in capsys.readouterr().err
+        # A CSV target that holds 4 of its 8 inputs.
+        half_seen = tmp_path / "half_seen.csv"
+        save_target_csv(mask_fraction(gaussian_target(3), 0.5, seed=1), str(half_seen))
         config_argvs = []
         for index, (experiment, bad) in enumerate(BADLY_TYPED_CONFIGS):
             path = tmp_path / f"bad{index}.json"
@@ -299,6 +309,10 @@ class TestCli:
             ["bp-stats", "--m-sweep-n", "-3"],
             ["bp-stats", "--ansatz", "quadratic", "--n", "17"],
             ["entropy", "--ansatz", "linear", "--n", "20"],
+            ["fit", "--ansatz", "linear", "--n", "20"],
+            ["sweep", "--ansatz", "quadratic", "--n", "17"],
+            ["fit", "--csv", str(half_seen), "--n", "3", "--fraction", "0.5", "--out", str(tmp_path)],
+            ["fit", "--csv", str(half_seen), "--n", "3", "--fraction", "0.9", "--out", str(tmp_path)],
             *config_argvs,
         ):
             assert main(argv) == 2
@@ -357,6 +371,7 @@ class TestCli:
             assert getattr(resolve(*argv), field) == expected, flag
         assert resolve("fit", "--n", "4").n_min == 4
         assert resolve("fit", "--csv", str(target_path)).target_csv == str(target_path)
+        # Quadratic N=16 (9.0M sign entries) stays within the sign-matrix guard.
         full = resolve("sweep", "--full-scale")
         assert (full.n_min, full.target, full.seeds) == (2, "random", tuple(range(1, 101)))
         with pytest.raises(SystemExit) as exit_info:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qimpute.rng import stream
 from qimpute.targets import (
     TargetDistribution,
     gaussian_target,
@@ -123,6 +124,21 @@ class TestMasking:
             mask_fraction(gaussian_target(2), 1.0, seed=1)
         with pytest.raises(ValueError):
             mask_fraction(gaussian_target(2), -0.1, seed=1)
+
+    def test_partly_seen_target_hides_only_seen_inputs(self):
+        half = mask_fraction(gaussian_target(3), 0.5, seed=1)
+        for seed in range(10):
+            masked = mask_fraction(half, 0.25, seed=seed)
+            assert int(masked.seen_mask.sum()) == 2
+            assert not np.any(masked.seen_mask & ~half.seen_mask)
+            assert_valid(masked)
+        for fraction in (0.5, 0.9):
+            with pytest.raises(ValueError, match="leaving none"):
+                mask_fraction(half, fraction, seed=1)
+        # A fully seen target keeps the hidden set drawn over all inputs.
+        masked = mask_fraction(gaussian_target(4), 0.3, seed=5)
+        hidden = stream(5, "mask").choice(16, size=4, replace=False)
+        assert set(np.flatnonzero(~masked.seen_mask)) == set(hidden)
 
     def test_nothing_left_rejected(self):
         lone = TargetDistribution.from_conditionals(
