@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .ansatz import Ansatz, _block_amplitudes, conditional_output, flip_bits, sign_matrix
-from .optimize import _bfgs_core, adjusted_target_angles
+from .optimize import _bfgs_core, _overlap_gap, adjusted_target_angles
 from .rng import stream
 from .targets import TargetDistribution
 
@@ -99,6 +99,8 @@ def gradient_statistics(
     The first parameter (the initial rotation, sign +1 on every input) is
     used consistently across sweeps so that curves are comparable;
     ``param_index`` exists for spot checks against other components.
+    Each sample is dE/dp / (2 sqrt(E)) from ``_overlap_gap`` on its row
+    chunk, as ``optimize.gradient`` computes it for one draw.
     """
     if sample_count < MIN_SAMPLE_COUNT:
         raise ValueError(f"sample_count must be >= {MIN_SAMPLE_COUNT}, got {sample_count}")
@@ -107,16 +109,14 @@ def gradient_statistics(
     seen = target.seen_mask
     seen_goal = adjusted_target_angles(ansatz, target)[seen]
     rng = stream(seed, "gradient-stats")
-    signs = sign_matrix(ansatz)
-    seen_signs = signs[seen, param_index]
+    seen_signs = sign_matrix(ansatz)[seen]
     draws = rng.uniform(0.0, 2.0 * np.pi, size=(sample_count, ansatz.param_count))
     grads = np.empty(sample_count)
     for rows in _sample_chunks(sample_count, ansatz.n_inputs):
-        residual = (draws[rows] @ signs.T)[:, seen] - seen_goal
-        overlap = np.cos(residual).mean(axis=1)
-        d_overlap = -(np.sin(residual) * seen_signs).mean(axis=1)
-        distance = np.sqrt(np.clip(1.0 - np.abs(overlap), 0.0, None))
-        grads[rows] = -np.sign(overlap) * d_overlap / (2.0 * np.maximum(distance, 1e-15))
+        residual = draws[rows] @ seen_signs.T
+        residual -= seen_goal
+        gap, d_gap = _overlap_gap(residual)
+        grads[rows] = d_gap @ seen_signs[:, param_index] / (2.0 * np.sqrt(gap))
     return GradientStats(
         n_inputs=ansatz.n_inputs,
         n_params=ansatz.param_count,

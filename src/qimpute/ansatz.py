@@ -58,13 +58,9 @@ __all__ = [
     "project_signs",
     "conditional_output",
     "statevector",
-    "DEFAULT_STATEVECTOR_CAP",
 ]
 
 ANSATZ_KINDS = ("linear", "quadratic", "exponential")
-
-# 8 * 2**20 bytes of amplitudes keeps the analytic sweep desk sized.
-DEFAULT_STATEVECTOR_CAP = 20
 
 # Guard for materializing sign matrices: 2**N * M entries.
 _SIGN_MATRIX_MAX_ENTRIES = 1 << 24
@@ -289,16 +285,13 @@ def conditional_output(ansatz: Ansatz, params) -> ConditionalOutput:
     return ConditionalOutput(amp0=amp0, amp1=amp1)
 
 
-def statevector(ansatz: Ansatz, params, max_qubits: int = DEFAULT_STATEVECTOR_CAP) -> np.ndarray:
+def statevector(ansatz: Ansatz, params) -> np.ndarray:
     """Full amplitude vector of length 2^(N+1) over basis states |b>|a>.
 
     The input register is weighted uniformly (Hadamard preparation), so the
-    amplitude at index 2*b + a is amp_a(b) / sqrt(2^N).
+    amplitude at index 2*b + a is amp_a(b) / sqrt(2^N).  From N = 20 the
+    sign-matrix guard raises ValueError before anything is allocated.
     """
-    if ansatz.n_inputs > max_qubits:
-        raise ValueError(
-            f"{ansatz.n_inputs} input qubits exceed the configured cap {max_qubits}"
-        )
     out = conditional_output(ansatz, params)
     n_states = out.amp0.size
     state = np.empty(2 * n_states)

@@ -43,7 +43,6 @@ from .analysis import (
 from .ansatz import (
     _SIGN_MATRIX_MAX_ENTRIES,
     ANSATZ_KINDS,
-    DEFAULT_STATEVECTOR_CAP,
     Ansatz,
     ConditionalOutput,
     conditional_output,
@@ -94,6 +93,8 @@ __all__ = [
 EXPERIMENTS = ("fit", "sweep", "generalize", "majority_ratios", "bp_stats", "entropy", "validate")
 OUTPUT_DIR_ENV = "QIMPUTE_OUT_DIR"
 BOUND_SLACK = 1e-9
+# Widest input register a config may ask for.
+MAX_INPUT_WIDTH = 20
 
 _TARGET_KINDS = ("gaussian", "majority", "random", "csv")
 
@@ -144,9 +145,9 @@ class ExperimentConfig:
             raise ConfigError(f"target CSV not found: {self.target_csv}")
         if not 1 <= self.n_min <= self.n_max:
             raise ConfigError(f"bad input-width range {self.n_min}..{self.n_max}")
-        if self.n_max > DEFAULT_STATEVECTOR_CAP:
+        if self.n_max > MAX_INPUT_WIDTH:
             raise ConfigError(
-                f"input width {self.n_max} exceeds the analytic-path cap {DEFAULT_STATEVECTOR_CAP}"
+                f"input width {self.n_max} exceeds the analytic-path cap {MAX_INPUT_WIDTH}"
             )
         for f in (self.fraction, *self.fractions):
             if not 0.0 <= f < 1.0:
@@ -159,9 +160,9 @@ class ExperimentConfig:
             raise ConfigError(f"outcomes must be >= 1, got {self.outcomes}")
         if self.samples < MIN_SAMPLE_COUNT:
             raise ConfigError(f"samples must be >= {MIN_SAMPLE_COUNT}, got {self.samples}")
-        if self.m_sweep_n is not None and not 1 <= self.m_sweep_n <= DEFAULT_STATEVECTOR_CAP:
+        if self.m_sweep_n is not None and not 1 <= self.m_sweep_n <= MAX_INPUT_WIDTH:
             raise ConfigError(
-                f"m_sweep_n must lie in 1..{DEFAULT_STATEVECTOR_CAP}, got {self.m_sweep_n}"
+                f"m_sweep_n must lie in 1..{MAX_INPUT_WIDTH}, got {self.m_sweep_n}"
             )
         # Every family at every width runs on its cached dense sign matrix,
         # bp_stats also for its gate-count sweep.

@@ -1,10 +1,11 @@
 """Distance and bound computations between targets and circuit outputs.
 
-The working distance everywhere is d(p, q) = sqrt(1 - BC(p, q)) with
-BC(p, q) = sum_x sqrt(p_x q_x); state overlaps use the same square-root
-form with BC replaced by |<phi|psi>|.  Restricted variants slice both
-distributions to one side of the seen/unseen split and renormalize each
-slice before comparing.
+The working distance everywhere is d = sqrt(1 - BC) with BC(p, q) =
+sum_x sqrt(p_x q_x), or |<phi|psi>| for states.  The gap 1 - BC is
+computed as |u - v|^2 / 2 over the unit root or amplitude vectors u, v:
+nonnegative terms that keep their digits where 1 - BC rounds to noise.
+Restricted variants slice both distributions to one side of the
+seen/unseen split and renormalize each slice before comparing.
 """
 
 from __future__ import annotations
@@ -46,31 +47,33 @@ def _as_distribution(p, name: str) -> np.ndarray:
 
 
 def hellinger(p, q, support: str = "full") -> DistanceReport:
-    """Distance sqrt(1 - sum(sqrt(p*q))) between two probability vectors."""
+    """Distance sqrt(gap) between two probability vectors, with the gap
+    1 - BC = sum((sqrt(p) - sqrt(q))^2) / 2 and BC reported as 1 - gap."""
     p = _as_distribution(p, "p")
     q = _as_distribution(q, "q")
     if p.size != q.size:
         raise ValueError(f"length mismatch: {p.size} vs {q.size}")
-    coefficient = float(np.clip(np.sqrt(p * q).sum(), 0.0, 1.0))
-    distance = float(np.sqrt(max(1.0 - coefficient, 0.0)))
-    return DistanceReport(hellinger=distance, bhattacharyya=coefficient, support=support)
+    diff = np.sqrt(p) - np.sqrt(q)
+    gap = float(diff @ diff) / 2.0
+    return DistanceReport(hellinger=float(np.sqrt(gap)), bhattacharyya=1.0 - gap, support=support)
 
 
 def state_distance(target: TargetDistribution, out: ConditionalOutput) -> float:
     """Overlap distance sqrt(1 - |F|) between target state and circuit state.
 
-    F accumulates sqrt(p(b, a)) times the circuit amplitude of |b>|a>; for
-    a fully seen target this is the mean over inputs of
-    sqrt(p(0|b)) amp0(b) + sqrt(p(1|b)) amp1(b).
+    F = u.v for the target's root vector u = sqrt(p(b, a)) and the circuit
+    amplitudes v = amp_a(b) / sqrt(2^N); the gap is computed as
+    1 - |F| = min(|u - v|^2, |u + v|^2) / 2.
     """
     if out.amp0.size != target.n_states:
         raise ValueError(
             f"dimension mismatch: output has {out.amp0.size} inputs, "
             f"target has {target.n_states}"
         )
-    roots = np.sqrt(target.probs)
-    overlap = (roots[:, 0] @ out.amp0 + roots[:, 1] @ out.amp1) / np.sqrt(target.n_states)
-    return float(np.sqrt(max(1.0 - min(abs(overlap), 1.0), 0.0)))
+    u = np.sqrt(target.probs).ravel()
+    v = np.stack([out.amp0, out.amp1], axis=1).ravel() / np.sqrt(target.n_states)
+    below, above = u - v, u + v
+    return float(np.sqrt(min(below @ below, above @ above) / 2.0))
 
 
 def worst_case_bound(n_params: int, n_inputs: int) -> float:

@@ -1,17 +1,19 @@
 """Distance minimization over rotation parameters.
 
-The objective is the overlap distance sqrt(1 - |F|), where F averages
-cos(theta_b - t_b) over the seen inputs: t_b is the flip-adjusted optimal
-block angle of the target and theta_b the block angle the parameters
-realize.  Averaging over the seen inputs only (and renormalizing there)
-lets a perfect fit of the visible data reach exactly zero even when part
-of the distribution is hidden.
+The objective is the overlap distance sqrt(E) with E = 1 - |F|, where F
+averages cos(r_b) over the seen inputs and r_b = theta_b - t_b is the
+block angle the parameters realize minus the flip-adjusted optimal block
+angle of the target.  Averaging over the seen inputs only (and
+renormalizing there) lets a perfect fit of the visible data reach exactly
+zero even when part of the distribution is hidden.  ``_overlap_gap``
+computes E from 1 - F = mean 2 sin^2(r/2) and 1 + F = mean 2 cos^2(r/2),
+sums of nonnegative terms, so a near-exact fit keeps every digit of its
+distance where 1 - |F| would round to noise (or to exactly 0).
 
 Minimization is a BFGS-style quasi-Newton iteration with a backtracking
-(Armijo) line search, restarted from several initial points.  The line
-search runs on the smooth surrogate E = 1 - |F|, which shares minimizers
-with sqrt(E) but has no square-root cone at exact fits; all reported
-distances and the public ``gradient`` use the square-root form.
+(Armijo) line search on E, restarted from several initial points; E
+shares minimizers with sqrt(E) but has no square-root cone at exact fits.
+All reported distances and the public ``gradient`` use the square root.
 
 For the exponential family the sign matrix is square and invertible, so
 ``solve_exponential`` skips iteration entirely and solves the linear
@@ -123,46 +125,57 @@ def adjusted_target_angles(ansatz: Ansatz, target: TargetDistribution) -> np.nda
     return np.where(flip_bits(ansatz), np.pi / 2.0 - bare, bare)
 
 
-def _seen_overlap(ansatz: Ansatz, target: TargetDistribution):
-    """The seen-input overlap F as a function of the parameters.
+def _overlap_gap(residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E = 1 - |F| and dE/dr for F = mean cos(r) over the last axis of r.
 
-    Returns ``overlap(params, adjoint)``, giving (F, dF/dparams); the
-    derivative is computed (through ``project_signs``) only when
-    ``adjoint`` is true, and is None otherwise.
+    E is the smaller of mean 2 sin^2(r/2) = 1 - F and mean 2 cos^2(r/2) =
+    1 + F, and dE/dr = sign(F) 2 sin(r/2) cos(r/2) / n.  Leading axes are a
+    batch.  ``residual`` is overwritten, so the derivative is the only new
+    array of its size.
     """
+    n = residual.shape[-1]
+    residual *= 0.5
+    d_gap = np.sin(residual)
+    half_cos = np.cos(residual, out=residual)
+    below = np.vecdot(d_gap, d_gap)  # n (1 - F) / 2
+    above = np.vecdot(half_cos, half_cos)  # n (1 + F) / 2
+    d_gap *= half_cos
+    d_gap *= (np.sign(above - below) * (2.0 / n))[..., None]
+    return np.minimum(below, above) * (2.0 / n), d_gap
+
+
+def _seen_overlap(ansatz: Ansatz, target: TargetDistribution):
+    """``gap(params) -> (E, dE/dparams)`` over the seen inputs; one forward
+    map and one adjoint per call."""
     seen = target.seen_mask
     seen_goal = adjusted_target_angles(ansatz, target)[seen]
-    seen_count = int(seen.sum())
-    n_states = target.n_states
+    weights = np.zeros(target.n_states)
 
-    def overlap(params, adjoint: bool):
+    def gap(params):
         theta, _ = effective_angles(ansatz, params)
-        residual = theta[seen] - seen_goal
-        value = np.cos(residual).mean()
-        if not adjoint:
-            return value, None
-        weights = np.zeros(n_states)
-        weights[seen] = np.sin(residual) / seen_count
-        return value, -project_signs(ansatz, weights)
+        residual = theta[seen]
+        residual -= seen_goal
+        value, weights[seen] = _overlap_gap(residual)
+        return float(value), project_signs(ansatz, weights)
 
-    return overlap
+    return gap
 
 
 def objective(ansatz: Ansatz, params, target: TargetDistribution) -> float:
-    """Distance sqrt(1 - |F|) with F averaged over the seen inputs."""
-    value, _ = _seen_overlap(ansatz, target)(params, adjoint=False)
-    return float(np.sqrt(max(1.0 - abs(value), 0.0)))
+    """Distance sqrt(E), E = 1 - |F| over the seen inputs from ``_overlap_gap``."""
+    value, _ = _seen_overlap(ansatz, target)(params)
+    return float(np.sqrt(value))
 
 
 def gradient(ansatz: Ansatz, params, target: TargetDistribution) -> np.ndarray:
-    """Analytic gradient of ``objective`` with respect to every parameter.
+    """Analytic gradient of ``objective``: dE/dparams / (2 sqrt(E)).
 
     Only valid away from an exact fit: at distance below 1e-12 the square
     root is singular and the caller should treat the point as converged;
     a ValueError says so.
     """
-    e_value, e_grad = _surrogate(ansatz, target)(params)
-    distance = np.sqrt(max(e_value, 0.0))
+    e_value, e_grad = _seen_overlap(ansatz, target)(params)
+    distance = np.sqrt(e_value)
     if distance <= EXACT_FIT_DISTANCE:
         raise ValueError(
             "objective is at an exact fit; the gradient is singular there "
@@ -223,17 +236,6 @@ def _bfgs_core(fun_grad, x0: np.ndarray, stop, max_iterations: int):
     return x, f, g, iterations, converged
 
 
-def _surrogate(ansatz: Ansatz, target: TargetDistribution):
-    """(E, grad E) callable for E = 1 - |F|, smooth through exact fits."""
-    overlap = _seen_overlap(ansatz, target)
-
-    def fun_grad(params: np.ndarray):
-        value, d_value = overlap(params, adjoint=True)
-        return 1.0 - abs(value), -np.sign(value) * d_value
-
-    return fun_grad
-
-
 def minimize(ansatz: Ansatz, target: TargetDistribution, config: OptimizeConfig | None = None) -> OptimizeResult:
     """Best distance over several quasi-Newton restarts.
 
@@ -246,11 +248,11 @@ def minimize(ansatz: Ansatz, target: TargetDistribution, config: OptimizeConfig 
         config = OptimizeConfig()
     n_params = ansatz.param_count
     max_iterations = config.max_iterations or 500 * n_params
-    fun_grad = _surrogate(ansatz, target)
+    fun_grad = _seen_overlap(ansatz, target)
     tolerance = config.gradient_tolerance
 
     def stop(e_value: float, e_grad: np.ndarray) -> bool:
-        distance = np.sqrt(max(e_value, 0.0))
+        distance = np.sqrt(e_value)
         if distance < EXACT_FIT_DISTANCE:
             return True
         return float(np.linalg.norm(e_grad)) / (2.0 * distance) < tolerance
@@ -262,7 +264,7 @@ def minimize(ansatz: Ansatz, target: TargetDistribution, config: OptimizeConfig 
         else:
             x0 = stream(config.seed, f"init-{restart}").uniform(0.0, 2.0 * np.pi, n_params)
         x, e_value, _, iterations, converged = _bfgs_core(fun_grad, x0, stop, max_iterations)
-        distance = float(np.sqrt(max(e_value, 0.0)))
+        distance = float(np.sqrt(e_value))
         if best is None or distance < best.final_distance:
             best = OptimizeResult(
                 best_params=x,

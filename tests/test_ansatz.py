@@ -268,9 +268,8 @@ class TestStatevector:
             assert np.linalg.norm(statevector(ansatz, params)) == pytest.approx(1.0, abs=1e-12)
 
     def test_width_cap(self):
-        ansatz = Ansatz.linear(4)
         with pytest.raises(ValueError):
-            statevector(ansatz, np.zeros(5), max_qubits=3)
+            statevector(Ansatz.linear(20), np.zeros(21))
 
 
 class TestOracleAgreement:

@@ -3,7 +3,9 @@
 ``bench/tracing.py`` wraps the functions it lists at every qimpute module
 attribute that binds them; a renamed function or a call that bypasses the
 module binding would make the traced run fail or read 0.  These tests
-import the tracer as it is and run one small fit under it.
+import the tracer as it is and run one small fit under it.  They also
+load ``bench/workloads.py`` as it is and run its output checks on the
+workload seeds whose near-exact fits exposed a cancelling distance.
 """
 
 import importlib
@@ -12,18 +14,28 @@ from pathlib import Path
 
 import pytest
 
+import qimpute
 import qimpute.harness
 from qimpute.harness import ExperimentConfig
 
-TRACING_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 def test_every_traced_layer_name_is_bound(tracing):
@@ -50,3 +62,12 @@ def test_traced_fit_reports_sign_map_times(tracing, tmp_path):
     assert metrics["optimize.evals_per_fit"] > 0
     shares = tracing.unattributed_shares(tracer, self_s)
     assert tracing.check_ops(shares, tracing.UNATTRIBUTED_ALLOWANCE) == []
+
+
+@pytest.mark.parametrize("seed", [39, 69])
+def test_generalize_checks_pass_on_near_exact_fits(workloads, tmp_path, seed):
+    # These seeds fit rows to within 1e-9, where a distance computed as
+    # sqrt(1 - overlap) read 0 beneath a nonzero seen Hellinger distance.
+    experiment_seed = workloads.derive(seed, "experiments", "seed", "generalize")
+    op = workloads.ExperimentsWorkload(tmp_path).op(qimpute, "generalize", experiment_seed)
+    assert op.check(op.run()) == []

@@ -66,14 +66,25 @@ class TestHellinger:
         p = np.array([0.5, 0.5]) * (1.0 + 5e-10)
         assert hellinger(p, [0.5, 0.5]).hellinger == pytest.approx(0.0, abs=1e-9)
 
+    def test_tiny_relative_change_matches_closed_form(self):
+        # q = p with its first entry scaled by 1 + delta, renormalized:
+        # 1 - BC = p0 p1 delta^2 / 8 + O(delta^3), far below the rounding
+        # of a Bhattacharyya coefficient formed near 1.  Rounding q itself
+        # moves sqrt(q) - sqrt(p) by about 1e-4 of its size at this delta.
+        delta = (1.0 + 1e-12) - 1.0
+        p = np.array([0.25, 0.75])
+        q = p * np.array([1.0 + delta, 1.0])
+        expected = math.sqrt(p[0] * p[1] / 8.0) * delta
+        assert hellinger(p, q / q.sum()).hellinger == pytest.approx(expected, rel=1e-3, abs=0.0)
+
     def test_never_nan(self):
         assert not math.isnan(hellinger([1.0, 0.0], [0.0, 1.0]).hellinger)
 
 
 class TestStateDistance:
     def test_perfect_unflipped_output(self):
-        # the square root turns machine-epsilon overlap error into ~1e-8,
-        # so that is the attainable floor for a perfect reconstruction
+        # a perfect reconstruction differs from the target only by the
+        # rounding of its amplitudes
         target = random_target(3, seed=1)
         angles = target_angles(target)
         out = ConditionalOutput(amp0=np.cos(angles), amp1=np.sin(angles))

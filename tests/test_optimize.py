@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qimpute.ansatz import Ansatz, conditional_output, effective_angles
-from qimpute.metrics import worst_case_bound
+from qimpute.ansatz import Ansatz, conditional_output, effective_angles, sign_matrix
+from qimpute.metrics import restricted_distance, state_distance, worst_case_bound
 from qimpute.optimize import (
     OptimizeConfig,
     _bfgs_core,
@@ -66,6 +66,46 @@ class TestObjective:
             objective(Ansatz.linear(3), np.zeros(3), gaussian_target(3))
         with pytest.raises(ValueError):
             objective(Ansatz.linear(2), np.zeros(3), gaussian_target(3))
+
+
+def near_exact_fit(gap, seed, seen_mask=None):
+    """An exponential-family exact solve, moved so that 1 - |F| is near ``gap``.
+
+    The target's conditionals keep every goal angle in [0.46, 1.11], and
+    each block angle moves by at most sqrt(2 * gap) <= 0.15, so the block
+    angles stay in [0, pi/2]: both output amplitudes are nonnegative and
+    the overlap F equals the Bhattacharyya coefficient of the joints.
+    """
+    rng = np.random.default_rng(seed)
+    p0 = rng.uniform(0.2, 0.8, 16)
+    target = TargetDistribution.from_conditionals(np.stack([p0, 1.0 - p0], axis=1), seen_mask)
+    ansatz = Ansatz.exponential(4)
+    shift = np.sqrt(2.0 * gap) * rng.choice([-1.0, 1.0], p0.size) * rng.uniform(0.5, 1.0, p0.size)
+    params = solve_exponential(target) + np.linalg.solve(sign_matrix(ansatz), shift)
+    return ansatz, params, target
+
+
+GAPS = [1e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2]
+
+
+class TestExactForms:
+    # Computed as sqrt(1 - overlap), a distance near 1e-6 keeps only about
+    # four digits; the gap forms keep them all, so the routes agree.
+    @pytest.mark.parametrize("gap", GAPS)
+    def test_objective_is_seen_hellinger(self, gap):
+        seen = np.ones(16, dtype=bool)
+        seen[[1, 6, 11]] = False
+        ansatz, params, target = near_exact_fit(gap, 1, seen_mask=seen)
+        distance = objective(ansatz, params, target)
+        seen_hellinger = restricted_distance(target, conditional_output(ansatz, params), "seen")
+        assert distance == pytest.approx(seen_hellinger.hellinger, rel=1e-6, abs=0.0)
+        assert distance == pytest.approx(np.sqrt(gap), rel=0.5, abs=0.0)
+
+    @pytest.mark.parametrize("gap", GAPS)
+    def test_state_distance_is_objective(self, gap):
+        ansatz, params, target = near_exact_fit(gap, 2)
+        distance = state_distance(target, conditional_output(ansatz, params))
+        assert distance == pytest.approx(objective(ansatz, params, target), rel=1e-6, abs=0.0)
 
 
 class TestGradient:
