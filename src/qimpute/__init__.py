@@ -45,6 +45,7 @@ from .optimize import (
     OptimizeConfig,
     OptimizeResult,
     gradient,
+    least_squares_start,
     minimize,
     objective,
     solve_exponential,

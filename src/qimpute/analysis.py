@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .ansatz import Ansatz, _block_amplitudes, conditional_output, flip_bits, sign_matrix
-from .optimize import _bfgs_core, _overlap_gap, adjusted_target_angles
+from .optimize import _newton_core, _overlap_gap, adjusted_target_angles
 from .rng import stream
 from .targets import TargetDistribution
 
@@ -196,8 +196,9 @@ def fit_entropy_curve(points: Sequence[tuple[float, float]], base: float = DEFAU
     Only the product b*ln(a) and the offset c are identifiable, so ``a``
     is pinned to ``base`` and ``b`` reported relative to it.  The rate and
     offset are initialized by linear regression of log(1 - value) on n and
-    polished with the quasi-Newton core.  Constant or otherwise unfittable
-    data comes back flagged degenerate rather than raising.
+    polished with the damped Newton core on the exact Hessian.  Constant or
+    otherwise unfittable data comes back flagged degenerate rather than
+    raising.
     """
     if len(points) < 4:
         raise ValueError(f"need at least 4 points to fit, got {len(points)}")
@@ -211,19 +212,28 @@ def fit_entropy_curve(points: Sequence[tuple[float, float]], base: float = DEFAU
     rate0 = max(-float(slope), 1e-6)
     offset0 = float(intercept) / rate0
 
-    def fun_grad(x: np.ndarray):
+    def fun(x: np.ndarray):
+        # Model m = 1 - exp(-u), u = rate (n - offset), in x = (log rate, offset).
         rate = np.exp(x[0])
-        offset = x[1]
-        decay = np.exp(-rate * (ns - offset))
+        u = rate * (ns - x[1])
+        decay = np.exp(-u)
         err = (1.0 - decay) - values
-        loss = float(err @ err)
-        d_rate = float(2.0 * err @ (decay * (ns - offset)))
-        d_offset = float(2.0 * err @ (-rate * decay))
-        return loss, np.array([d_rate * rate, d_offset])
+        jac = np.stack([decay * u, -rate * decay])  # dm/dx
+
+        def hessian():
+            # 2 (J J^T + sum err d^2m/dx^2)
+            cross = rate * float(err @ (decay * (u - 1.0)))
+            second = np.array([
+                [float(err @ (decay * u * (1.0 - u))), cross],
+                [cross, -rate * rate * float(err @ decay)],
+            ])
+            return 2.0 * (jac @ jac.T + second)
+
+        return float(err @ err), 2.0 * (jac @ err), hessian
 
     x0 = np.array([np.log(rate0), offset0])
-    x, loss, _, _, _ = _bfgs_core(
-        fun_grad, x0, stop=lambda f, g: float(np.linalg.norm(g)) < 1e-12, max_iterations=500
+    x, loss, _, _, _ = _newton_core(
+        fun, x0, stop=lambda f, g: float(np.linalg.norm(g)) < 1e-12, max_iterations=500
     )
     rate = float(np.exp(x[0]))
     offset = float(x[1])

@@ -30,14 +30,8 @@ _DEFAULTS: dict[str, dict] = {
         "ansatz": ["linear"], "n_min": 6, "n_max": 10, "target": "gaussian",
         "fractions": [0.1, 0.3, 0.5, 0.7],
     },
-    # Masked rule fits are underdetermined (more parameters than visible
-    # inputs), so the zeros start is the default here: descent from the
-    # origin stays in the row space of the visible angle system and lands
-    # on its minimum-norm solution, which is deterministic and extrapolates
-    # the rule far better than an arbitrary random-start solution.
     "majority_ratios": {
         "ansatz": ["quadratic"], "n_min": 4, "n_max": 4, "target": "majority", "fraction": 0.7,
-        "optimizer": {"init_scheme": "zeros", "restarts": 1},
     },
     "bp_stats": {"ansatz": ["linear"], "n_min": 4, "n_max": 10, "target": "gaussian"},
     "entropy": {"ansatz": ["linear"], "n_min": 3, "n_max": 9},
@@ -84,7 +78,7 @@ _FLAGS = {
     "--outcomes": ("outcomes", int, "sampled outcome count", ("majority_ratios",)),
     "--m-sweep-n": ("m_sweep_n", int, "also sweep gate count at this fixed width",
                     ("bp_stats",)),
-    "--restarts": (None, int, "optimizer restarts", _FITTING),
+    "--restarts": (None, int, "optimizer restarts (uniform_random starts only)", _FITTING),
     "--full-scale": (None, bool, "long-running full reproduction scale", ("sweep",)),
 }
 

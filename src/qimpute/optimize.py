@@ -10,10 +10,20 @@ computes E from 1 - F = mean 2 sin^2(r/2) and 1 + F = mean 2 cos^2(r/2),
 sums of nonnegative terms, so a near-exact fit keeps every digit of its
 distance where 1 - |F| would round to noise (or to exactly 0).
 
-Minimization is a BFGS-style quasi-Newton iteration with a backtracking
-(Armijo) line search on E, restarted from several initial points; E
-shares minimizers with sqrt(E) but has no square-root cone at exact fits.
-All reported distances and the public ``gradient`` use the square root.
+The block angles are linear in the parameters, theta = S p, so the fit
+starts from the seen angle system S_seen p = t_seen solved by least
+squares (``least_squares_start``): the minimum-norm solution when the
+system is underdetermined, and for a fully seen linear fit, whose S has
+orthogonal columns, the Walsh coefficients S^T t / 2^N.  ``minimize``
+polishes that start with a damped Newton iteration on E (``_newton_core``).
+The Hessian of E is exact and cheap, S_seen^T diag(w) S_seen with the
+curvature weights w = sign(F) cos(r) / n that ``_overlap_gap`` returns
+beside E and dE/dr.  A Levenberg-Marquardt shift keeps every accepted
+step a decrease.  E shares minimizers with sqrt(E) but has no
+square-root cone at exact fits, so Newton converges quadratically to
+them as well.  All reported distances and the public ``gradient`` use
+the square root.  The ``uniform_random`` start scheme, for paper-faithful
+runs, polishes several uniform random starts with the same core instead.
 
 For the exponential family the sign matrix is square and invertible, so
 ``solve_exponential`` skips iteration entirely and solves the linear
@@ -44,6 +54,7 @@ __all__ = [
     "adjusted_target_angles",
     "objective",
     "gradient",
+    "least_squares_start",
     "minimize",
     "solve_exponential",
 ]
@@ -52,10 +63,17 @@ __all__ = [
 # point counts as an exact fit.
 EXACT_FIT_DISTANCE = 1e-12
 
-_ARMIJO_C1 = 1e-4
-_MIN_STEP = 1e-14
-_CURVATURE_FLOOR = 1e-12
-_INIT_SCHEMES = ("uniform_random", "zeros")
+# Levenberg-Marquardt shift of the Newton core, in units of the largest
+# Hessian diagonal entry (at least 1): every iteration starts at the floor,
+# and a search that needs more than the ceiling has stalled.
+_SHIFT_FLOOR = 1e-10
+_SHIFT_CEILING = 1e16
+_SHIFT_GROWTH = 10.0
+# The Newton core has converged when its step cannot move x (relative to
+# max(1, |x|)) or predicts a relative decrease of f below the tolerance.
+_STEP_RESOLUTION = 4.0 * np.finfo(float).eps
+_DECREASE_TOLERANCE = 1e-12
+_INIT_SCHEMES = ("least_squares", "uniform_random")
 
 
 def check_field_types(obj, types: dict[str, tuple[type, ...]], error: type = TypeError) -> None:
@@ -71,18 +89,22 @@ def check_field_types(obj, types: dict[str, tuple[type, ...]], error: type = Typ
 
 @dataclass(frozen=True)
 class OptimizeConfig:
-    """Knobs of the quasi-Newton search.
+    """Knobs of the damped Newton search.
 
-    ``max_iterations`` of None means 500 * M.  ``zeros`` starts every
-    restart from the origin (useful only with restarts=1); the default
-    draws each restart uniformly from [0, 2*pi)^M.
+    ``init_scheme`` "least_squares" (the default) polishes the one
+    deterministic ``least_squares_start``.  "uniform_random" polishes
+    ``restarts`` starts drawn uniformly from [0, 2*pi)^M from the ``seed``
+    stream and keeps the best; it alone reads ``restarts`` and ``seed``.
+    ``max_iterations`` (accepted Newton steps per start) of None means
+    500 * M.  ``gradient_tolerance`` bounds the distance's gradient norm
+    at convergence.
     """
 
     max_iterations: int | None = None
     gradient_tolerance: float = 1e-8
     restarts: int = 10
     seed: int = 0
-    init_scheme: str = "uniform_random"
+    init_scheme: str = "least_squares"
 
     def __post_init__(self) -> None:
         check_field_types(self, {
@@ -125,12 +147,15 @@ def adjusted_target_angles(ansatz: Ansatz, target: TargetDistribution) -> np.nda
     return np.where(flip_bits(ansatz), np.pi / 2.0 - bare, bare)
 
 
-def _overlap_gap(residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _overlap_gap(residual: np.ndarray, curvature: bool = False) -> tuple[np.ndarray, ...]:
     """E = 1 - |F| and dE/dr for F = mean cos(r) over the last axis of r.
 
     E is the smaller of mean 2 sin^2(r/2) = 1 - F and mean 2 cos^2(r/2) =
-    1 + F, and dE/dr = sign(F) 2 sin(r/2) cos(r/2) / n.  Leading axes are a
-    batch.  ``residual`` is overwritten, so the derivative is the only new
+    1 + F, and dE/dr = sign(F) 2 sin(r/2) cos(r/2) / n.  With
+    ``curvature`` a third array follows: d^2E/dr^2 = sign(F) (cos^2(r/2) -
+    sin^2(r/2)) / n = sign(F) cos(r) / n, the diagonal the Hessian in the
+    parameters is built from.  Leading axes are a batch.  ``residual`` is
+    overwritten, so without ``curvature`` the derivative is the only new
     array of its size.
     """
     n = residual.shape[-1]
@@ -139,24 +164,33 @@ def _overlap_gap(residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     half_cos = np.cos(residual, out=residual)
     below = np.vecdot(d_gap, d_gap)  # n (1 - F) / 2
     above = np.vecdot(half_cos, half_cos)  # n (1 + F) / 2
+    scale = (np.sign(above - below) * (2.0 / n))[..., None]
+    gap = np.minimum(below, above) * (2.0 / n)
+    if curvature:
+        d2_gap = (half_cos - d_gap) * (half_cos + d_gap) * (scale / 2.0)
     d_gap *= half_cos
-    d_gap *= (np.sign(above - below) * (2.0 / n))[..., None]
-    return np.minimum(below, above) * (2.0 / n), d_gap
+    d_gap *= scale
+    return (gap, d_gap, d2_gap) if curvature else (gap, d_gap)
 
 
 def _seen_overlap(ansatz: Ansatz, target: TargetDistribution):
     """``gap(params) -> (E, dE/dparams)`` over the seen inputs; one forward
-    map and one adjoint per call."""
+    map and one adjoint per call.
+
+    ``gap(params, curvature=True)`` appends the seen inputs' curvature
+    weights w = d^2E/dr^2, so that the Hessian of E in the parameters is
+    S_seen^T diag(w) S_seen.
+    """
     seen = target.seen_mask
     seen_goal = adjusted_target_angles(ansatz, target)[seen]
-    weights = np.zeros(target.n_states)
+    d_angles = np.zeros(target.n_states)
 
-    def gap(params):
+    def gap(params, curvature=False):
         theta, _ = effective_angles(ansatz, params)
         residual = theta[seen]
         residual -= seen_goal
-        value, weights[seen] = _overlap_gap(residual)
-        return float(value), project_signs(ansatz, weights)
+        value, d_angles[seen], *weights = _overlap_gap(residual, curvature)
+        return (float(value), project_signs(ansatz, d_angles), *weights)
 
     return gap
 
@@ -184,72 +218,100 @@ def gradient(ansatz: Ansatz, params, target: TargetDistribution) -> np.ndarray:
     return e_grad / (2.0 * distance)
 
 
-def _bfgs_core(fun_grad, x0: np.ndarray, stop, max_iterations: int):
-    """Quasi-Newton descent with backtracking line search.
+def least_squares_start(ansatz: Ansatz, target: TargetDistribution) -> np.ndarray:
+    """Parameters solving the seen angle system S_seen p = t_seen.
 
-    ``fun_grad`` maps x to (f, grad f); ``stop(f, g)`` declares
-    convergence.  Returns (x, f, g, iterations, converged).  Accepted
-    steps never increase f (asserted); a stalled line search exits early.
+    The least-squares solution of ``np.linalg.lstsq``, of minimum norm when
+    the system is underdetermined (more parameters than independent seen
+    inputs).  Its residuals are the linearization of E's, so it is the
+    analytic circuit for a target the family can realize exactly.
+    """
+    seen = target.seen_mask
+    goal = adjusted_target_angles(ansatz, target)[seen]
+    return np.linalg.lstsq(sign_matrix(ansatz)[seen], goal)[0]
+
+
+def _newton_core(fun, x0: np.ndarray, stop, max_iterations: int):
+    """Damped Newton descent that accepts only decreasing steps.
+
+    ``fun`` maps x to (f, grad f, hessian), where ``hessian()`` returns the
+    Hessian at x; the core calls it only at accepted points.  Each step
+    solves (H + shift I) d = -g through a Cholesky factor.  The shift, in
+    units of the largest diagonal entry of H (at least 1), starts every
+    iteration at ``_SHIFT_FLOOR`` and grows by ``_SHIFT_GROWTH`` while the
+    factorization fails (H + shift I is not positive definite) or the
+    step does not lower f.
+
+    The search converges when ``stop(f, g)`` holds, or when the step at
+    the floor shift (H + shift I positive definite) fails to lower f while
+    it moves no coordinate by more than ``_STEP_RESOLUTION`` times
+    max(1, |x|) or predicts a decrease g.d / 2 (half the squared Newton
+    decrement) of at most ``_DECREASE_TOLERANCE`` times |f|: x is then a
+    minimum to working precision, where f's rounding hides any further
+    decrease from the acceptance test.  It ends unconverged after
+    ``max_iterations`` accepted steps, or when the shift passes
+    ``_SHIFT_CEILING`` without a decrease.  Returns (x, f, g, iterations,
+    converged).
     """
     x = np.asarray(x0, dtype=float).copy()
-    f, g = fun_grad(x)
-    dim = x.size
-    h_inv = np.eye(dim)
+    f, g, hessian = fun(x)
     iterations = 0
     converged = bool(stop(f, g))
     while not converged and iterations < max_iterations:
-        direction = -h_inv @ g
-        slope = float(g @ direction)
-        if slope >= 0.0:
-            # Curvature information went bad; fall back to steepest descent.
-            h_inv = np.eye(dim)
-            direction = -g
-            slope = -float(g @ g)
-            if slope == 0.0:
-                break
-        step = 1.0
+        h = hessian()
+        diagonal = np.diag(h).copy()
+        scale = max(1.0, float(np.max(np.abs(diagonal))))
+        resolution = _STEP_RESOLUTION * max(1.0, float(np.max(np.abs(x))))
+        shift = _SHIFT_FLOOR
         accepted = None
-        while step > _MIN_STEP:
-            candidate = x + step * direction
-            f_new, g_new = fun_grad(candidate)
-            if f_new <= f + _ARMIJO_C1 * step * slope:
-                accepted = (candidate, f_new, g_new)
+        while accepted is None and shift <= _SHIFT_CEILING:
+            np.fill_diagonal(h, diagonal + shift * scale)
+            try:
+                factor = np.linalg.cholesky(h)
+            except np.linalg.LinAlgError:
+                shift *= _SHIFT_GROWTH
+                continue
+            step = np.linalg.solve(factor.T, np.linalg.solve(factor, g))
+            f_new, g_new, hessian_new = fun(x - step)
+            if f_new < f:
+                accepted = (x - step, f_new, g_new, hessian_new)
+            elif shift == _SHIFT_FLOOR and (
+                float(np.max(np.abs(step))) <= resolution
+                or float(g @ step) <= 2.0 * _DECREASE_TOLERANCE * abs(f)
+            ):
+                converged = True
                 break
-            step *= 0.5
+            else:
+                shift *= _SHIFT_GROWTH
         if accepted is None:
             break
-        x_new, f_new, g_new = accepted
-        assert f_new <= f, "line search accepted an ascent step"
-        s = x_new - x
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > _CURVATURE_FLOOR * np.linalg.norm(s) * np.linalg.norm(y):
-            rho = 1.0 / sy
-            left = np.eye(dim) - rho * np.outer(s, y)
-            h_inv = left @ h_inv @ left.T + rho * np.outer(s, s)
-        stalled = (f - f_new) < 1e-15 * max(1.0, abs(f))
-        x, f, g = x_new, f_new, g_new
+        x, f, g, hessian = accepted
         iterations += 1
         converged = bool(stop(f, g))
-        if stalled and not converged:
-            break
     return x, f, g, iterations, converged
 
 
 def minimize(ansatz: Ansatz, target: TargetDistribution, config: OptimizeConfig | None = None) -> OptimizeResult:
-    """Best distance over several quasi-Newton restarts.
+    """Damped Newton on E from the least-squares start (or random starts).
 
-    Deterministic given (target, config): restart r draws its start point
-    from the named stream "init-r" of the config seed.  Ties between
-    restarts go to the lower restart index.  Non-convergence is reported
+    The default start is ``least_squares_start``, so the result is never
+    farther than that start.  The ``uniform_random`` scheme instead draws
+    start r from the named stream "init-r" of the config seed and keeps
+    the best of ``restarts``; ties go to the lower restart index.
+    Deterministic given (target, config).  Non-convergence is reported
     through the ``converged`` flag, never raised.
     """
     if config is None:
         config = OptimizeConfig()
     n_params = ansatz.param_count
     max_iterations = config.max_iterations or 500 * n_params
-    fun_grad = _seen_overlap(ansatz, target)
+    gap = _seen_overlap(ansatz, target)
+    seen_signs = sign_matrix(ansatz)[target.seen_mask]
     tolerance = config.gradient_tolerance
+
+    def fun(params):
+        value, grad, weights = gap(params, curvature=True)
+        return value, grad, lambda: (seen_signs.T * weights) @ seen_signs
 
     def stop(e_value: float, e_grad: np.ndarray) -> bool:
         distance = np.sqrt(e_value)
@@ -257,13 +319,14 @@ def minimize(ansatz: Ansatz, target: TargetDistribution, config: OptimizeConfig 
             return True
         return float(np.linalg.norm(e_grad)) / (2.0 * distance) < tolerance
 
+    if config.init_scheme == "least_squares":
+        starts = [least_squares_start(ansatz, target)]
+    else:
+        starts = (stream(config.seed, f"init-{restart}").uniform(0.0, 2.0 * np.pi, n_params)
+                  for restart in range(config.restarts))
     best: OptimizeResult | None = None
-    for restart in range(config.restarts):
-        if config.init_scheme == "zeros":
-            x0 = np.zeros(n_params)
-        else:
-            x0 = stream(config.seed, f"init-{restart}").uniform(0.0, 2.0 * np.pi, n_params)
-        x, e_value, _, iterations, converged = _bfgs_core(fun_grad, x0, stop, max_iterations)
+    for restart, x0 in enumerate(starts):
+        x, e_value, _, iterations, converged = _newton_core(fun, x0, stop, max_iterations)
         distance = float(np.sqrt(e_value))
         if best is None or distance < best.final_distance:
             best = OptimizeResult(
@@ -303,12 +366,13 @@ def finite_difference_gradient(
 ) -> np.ndarray:
     """Central-difference check value for ``gradient``; test use only."""
     params = _check_params(ansatz, params)
+    gap = _seen_overlap(ansatz, target)
     out = np.empty(params.size)
     for i in range(params.size):
         bumped = params.copy()
         bumped[i] = params[i] + step
-        upper = objective(ansatz, bumped, target)
+        upper = np.sqrt(gap(bumped)[0])
         bumped[i] = params[i] - step
-        lower = objective(ansatz, bumped, target)
+        lower = np.sqrt(gap(bumped)[0])
         out[i] = (upper - lower) / (2.0 * step)
     return out

@@ -84,11 +84,10 @@ def generalize_run(out_root):
 
 @pytest.fixture(scope="module")
 def ratio_run(out_root):
-    # shipped defaults for this experiment: deterministic zeros start
+    # shipped defaults for this experiment
     config = ExperimentConfig(
         experiment="majority_ratios", ansatz=("quadratic",), n_min=4, n_max=4,
         target="majority", fraction=0.7, seeds=(1,), outcomes=1024,
-        optimizer=OptimizeConfig(init_scheme="zeros", restarts=1),
         out_dir=str(out_root / "ratios"),
     )
     return _timed(run_majority_ratios, config)

@@ -11,6 +11,7 @@ from qimpute.harness import (
     BOUND_SLACK,
     ConfigError,
     ExperimentConfig,
+    _validate_optimizer,
     _validate_oracle,
     classify_outcomes,
     run_bp_stats,
@@ -23,7 +24,7 @@ from qimpute.harness import (
     run_validate,
     sample_outcomes,
 )
-from qimpute.optimize import OptimizeConfig
+from qimpute.optimize import EXACT_FIT_DISTANCE, OptimizeConfig
 from qimpute.rng import stream
 from qimpute.targets import majority_target, mask_fraction, save_target_csv, gaussian_target
 
@@ -59,9 +60,9 @@ class TestConfig:
 
     def test_optimizer_subdict(self):
         config = ExperimentConfig.from_dict(
-            {"experiment": "fit", "optimizer": {"restarts": 2, "init_scheme": "zeros"}}
+            {"experiment": "fit", "optimizer": {"restarts": 2, "init_scheme": "uniform_random"}}
         )
-        assert config.optimizer == OptimizeConfig(restarts=2, init_scheme="zeros")
+        assert config.optimizer == OptimizeConfig(restarts=2, init_scheme="uniform_random")
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"experiment": "fit", "optimizer": {"restarts": 0}})
 
@@ -280,12 +281,23 @@ class TestValidate:
         assert not bad["passed"]
         assert bad["max_deviation"] > 1e-10
 
+    def test_optimizer_suite_catches_random_starts(self):
+        # paper-faithful random starts converge into poorer basins than the
+        # least-squares start, well within the capacity bound
+        good = _validate_optimizer()
+        bad = _validate_optimizer(OptimizeConfig(init_scheme="uniform_random", restarts=1))
+        assert good["passed"]
+        assert good["max_excess_over_start"] <= 1e-9
+        assert not bad["passed"]
+        assert bad["max_excess_over_start"] > 0.1
+
     def test_full_report(self, tmp_path):
         config = ExperimentConfig(experiment="validate", out_dir=str(tmp_path))
         report, path = run_validate(config)
         assert report["passed"]
         assert set(report["suites"]) == {
-            "oracle_equivalence", "gradient_check", "bound_compliance", "exponential_exactness",
+            "oracle_equivalence", "gradient_check", "bound_compliance", "optimizer_quality",
+            "exponential_exactness",
         }
         assert json.loads(path.read_text())["passed"]
 
@@ -342,10 +354,11 @@ class TestCli:
         target_path = tmp_path / "target.csv"
         save_target_csv(gaussian_target(2), str(target_path))
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"optimizer": {"init_scheme": "zeros", "restarts": 1}}))
+        config_path.write_text(json.dumps({"optimizer": {"init_scheme": "uniform_random",
+                                                         "restarts": 1}}))
         cases = {
             "--config": (["fit", "--config", str(config_path)], "optimizer",
-                         OptimizeConfig(init_scheme="zeros", restarts=1)),
+                         OptimizeConfig(init_scheme="uniform_random", restarts=1)),
             "--out": (["fit", "--out", "somewhere"], "out_dir", "somewhere"),
             "--seed": (["fit", "--seed", "7"], "seeds", (7,)),
             "--seeds": (["sweep", "--seeds", "3,1,2"], "seeds", (3, 1, 2)),
@@ -363,7 +376,7 @@ class TestCli:
             "--outcomes": (["majority-ratios", "--outcomes", "64"], "outcomes", 64),
             "--m-sweep-n": (["bp-stats", "--m-sweep-n", "5"], "m_sweep_n", 5),
             "--restarts": (["fit", "--config", str(config_path), "--restarts", "3"], "optimizer",
-                           OptimizeConfig(init_scheme="zeros", restarts=3)),
+                           OptimizeConfig(init_scheme="uniform_random", restarts=3)),
             "--full-scale": (["sweep", "--full-scale"], "n_max", 16),
         }
         assert set(cases) == set(_FLAGS)
@@ -414,6 +427,28 @@ class TestCli:
             "--seed", "1", "--out", str(tmp_path), "--restarts", "2",
         ])
         assert code == 0
+
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_every_fit_converges(self, seed, tmp_path, capsys, monkeypatch):
+        # A near-exact fit polishes down to the float64 floor rather than
+        # stalling just above EXACT_FIT_DISTANCE.
+        import qimpute.harness as harness
+
+        results = []
+        fit = harness.minimize
+
+        def recording(*args, **kwargs):
+            results.append(fit(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(harness, "minimize", recording)
+        for subcommand in ("fit", "sweep", "generalize", "majority-ratios"):
+            assert main([subcommand, "--seed", seed, "--out", str(tmp_path)]) == 0
+        assert len(results) == 36
+        assert all(result.converged for result in results)
+        near_exact = [r.final_distance for r in results if r.final_distance < 1e-6]
+        assert near_exact
+        assert all(distance < EXACT_FIT_DISTANCE for distance in near_exact)
 
     def test_experiment_dispatch_guard(self):
         with pytest.raises(ConfigError):

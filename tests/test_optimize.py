@@ -5,10 +5,11 @@ from qimpute.ansatz import Ansatz, conditional_output, effective_angles, sign_ma
 from qimpute.metrics import restricted_distance, state_distance, worst_case_bound
 from qimpute.optimize import (
     OptimizeConfig,
-    _bfgs_core,
+    _newton_core,
     adjusted_target_angles,
     finite_difference_gradient,
     gradient,
+    least_squares_start,
     minimize,
     objective,
     solve_exponential,
@@ -18,6 +19,7 @@ from qimpute.targets import (
     TargetDistribution,
     gaussian_target,
     majority_target,
+    mask_fraction,
     random_target,
 )
 
@@ -145,15 +147,15 @@ class TestGradient:
             gradient(ansatz, np.zeros(3), parity)
 
 
-class TestBfgsCore:
+class TestNewtonCore:
     def test_solves_quadratic_bowl(self):
         scale = np.array([1.0, 4.0, 9.0])
 
-        def fun_grad(x):
-            return float(scale @ (x * x)), 2.0 * scale * x
+        def fun(x):
+            return float(scale @ (x * x)), 2.0 * scale * x, lambda: np.diag(2.0 * scale)
 
-        x, f, g, iterations, converged = _bfgs_core(
-            fun_grad,
+        x, f, g, iterations, converged = _newton_core(
+            fun,
             np.array([1.0, -2.0, 3.0]),
             stop=lambda f, g: float(np.linalg.norm(g)) < 1e-10,
             max_iterations=200,
@@ -162,6 +164,75 @@ class TestBfgsCore:
         assert iterations > 0
         assert f < 1e-18
         assert np.max(np.abs(x)) < 1e-9
+
+    def test_shift_engages_at_non_convex_start(self):
+        # f = (x^2 - 1)^2 + y^2 has a local maximum in x at 0; from x = 0.1
+        # the Hessian is indefinite, so Cholesky fails without the shift and
+        # the plain Newton step heads uphill, towards that maximum
+        values = []
+
+        def fun(z):
+            x, y = z
+            values.append(float((x * x - 1.0) ** 2 + y * y))
+            grad = np.array([4.0 * x * (x * x - 1.0), 2.0 * y])
+            return values[-1], grad, lambda: np.diag([12.0 * x * x - 4.0, 2.0])
+
+        start = np.array([0.1, 0.01])
+        assert np.linalg.eigvalsh(fun(start)[2]()).min() < 0.0
+        plain = start - np.linalg.solve(fun(start)[2](), fun(start)[1])
+        assert fun(plain)[0] > fun(start)[0]
+        values.clear()
+        x, f, g, iterations, converged = _newton_core(
+            fun, start, stop=lambda f, g: float(np.linalg.norm(g)) < 1e-10, max_iterations=200
+        )
+        assert converged
+        assert f < 1e-18
+        assert abs(x[0]) == pytest.approx(1.0, abs=1e-9)
+        assert f <= min(values)
+        assert values[0] > f
+
+
+def least_squares_cases():
+    for kind in ("linear", "quadratic"):
+        for n in (3, 5, 7):
+            for target in (gaussian_target(n), majority_target(n), random_target(n, seed=n)):
+                for fraction in (0.0, 0.4, 0.8):
+                    masked = mask_fraction(target, fraction, seed=n) if fraction else target
+                    yield getattr(Ansatz, kind)(n), masked
+
+
+class TestLeastSquaresStart:
+    @pytest.mark.parametrize("n", [1, 2, 4, 6, 8])
+    def test_fully_seen_linear_start_is_walsh_closed_form(self, n):
+        # linear S has orthogonal columns, S^T S = 2^N I
+        ansatz = Ansatz.linear(n)
+        signs = sign_matrix(ansatz)
+        for target in (gaussian_target(n), majority_target(n), random_target(n, seed=3)):
+            goal = adjusted_target_angles(ansatz, target)
+            expected = signs.T @ goal / 2 ** n
+            assert np.max(np.abs(least_squares_start(ansatz, target) - expected)) < 1e-12
+
+    def test_minimize_never_above_start(self):
+        for ansatz, target in least_squares_cases():
+            start = objective(ansatz, least_squares_start(ansatz, target), target)
+            result = minimize(ansatz, target)
+            assert result.converged
+            assert result.final_distance <= start
+
+    def test_masked_quadratic_start_is_minimum_norm(self):
+        # 5 of 16 inputs seen, 11 parameters: the seen system is
+        # underdetermined and realized exactly by its minimum-norm solution
+        ansatz = Ansatz.quadratic(4)
+        target = mask_fraction(majority_target(4), 0.7, seed=1)
+        seen = target.seen_mask
+        assert seen.sum() < ansatz.param_count
+        goal = adjusted_target_angles(ansatz, target)[seen]
+        expected = np.linalg.pinv(sign_matrix(ansatz)[seen]) @ goal
+        start = least_squares_start(ansatz, target)
+        assert np.max(np.abs(start - expected)) < 1e-12
+        result = minimize(ansatz, target)
+        assert result.final_distance < 1e-12
+        assert np.max(np.abs(result.best_params - expected)) < 1e-12
 
 
 class TestMinimize:
@@ -188,12 +259,17 @@ class TestMinimize:
         assert first.restart_index == second.restart_index
         assert np.array_equal(first.best_params, second.best_params)
 
-    def test_zeros_init_scheme(self):
-        target = gaussian_target(3)
-        config = OptimizeConfig(seed=0, restarts=1, init_scheme="zeros")
-        first = minimize(Ansatz.linear(3), target, config)
-        second = minimize(Ansatz.linear(3), target, config)
+    def test_uniform_random_init_scheme(self):
+        target = random_target(4, seed=5)
+        config = OptimizeConfig(seed=7, restarts=3, init_scheme="uniform_random")
+        first = minimize(Ansatz.quadratic(4), target, config)
+        second = minimize(Ansatz.quadratic(4), target, config)
         assert np.array_equal(first.best_params, second.best_params)
+        assert first.converged
+        assert 0 <= first.restart_index < 3
+        other = minimize(Ansatz.quadratic(4), target, OptimizeConfig(seed=8, restarts=3,
+                                                                   init_scheme="uniform_random"))
+        assert not np.array_equal(first.best_params, other.best_params)
 
     def test_result_within_unit_interval(self):
         target = random_target(3, seed=8)
@@ -206,7 +282,7 @@ class TestMinimize:
         with pytest.raises(ValueError):
             OptimizeConfig(gradient_tolerance=0.0)
         with pytest.raises(ValueError):
-            OptimizeConfig(init_scheme="warm")
+            OptimizeConfig(init_scheme="zeros")
         with pytest.raises(ValueError):
             OptimizeConfig(max_iterations=0)
         with pytest.raises(ValueError):
