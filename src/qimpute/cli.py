@@ -51,7 +51,6 @@ def _comma_list(item_type):
 
 
 _DATA = ("fit", "sweep", "generalize", "majority_ratios", "bp_stats", "entropy")
-_FITTING = ("fit", "sweep", "generalize", "majority_ratios")
 _TARGETED = ("fit", "sweep", "generalize", "bp_stats")
 
 # flag -> (config field, value type, help, subcommands whose runner reads it).
@@ -78,7 +77,6 @@ _FLAGS = {
     "--outcomes": ("outcomes", int, "sampled outcome count", ("majority_ratios",)),
     "--m-sweep-n": ("m_sweep_n", int, "also sweep gate count at this fixed width",
                     ("bp_stats",)),
-    "--restarts": (None, int, "optimizer restarts (uniform_random starts only)", _FITTING),
     "--full-scale": (None, bool, "long-running full reproduction scale", ("sweep",)),
 }
 
@@ -124,9 +122,6 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             data[field] = flags[field]
     if flags.get("target_csv") is not None and flags.get("target") is None:
         data["target"] = "csv"
-    optimizer = data.get("optimizer") or {}
-    if flags.get("restarts") is not None and isinstance(optimizer, dict):
-        data["optimizer"] = dict(optimizer, restarts=args.restarts)
     return ExperimentConfig.from_dict(data)
 
 

@@ -22,8 +22,9 @@ beside E and dE/dr.  A Levenberg-Marquardt shift keeps every accepted
 step a decrease.  E shares minimizers with sqrt(E) but has no
 square-root cone at exact fits, so Newton converges quadratically to
 them as well.  All reported distances and the public ``gradient`` use
-the square root.  The ``uniform_random`` start scheme, for paper-faithful
-runs, polishes several uniform random starts with the same core instead.
+the square root.  The start and the Hessian read the seen rows of S in
+blocks of bounded size, so a fit holds no copy of S beyond its seen rows,
+and none when every input is seen.
 
 For the exponential family the sign matrix is square and invertible, so
 ``solve_exponential`` skips iteration entirely and solves the linear
@@ -45,7 +46,6 @@ from .ansatz import (
     project_signs,
     sign_matrix,
 )
-from .rng import stream
 from .targets import TargetDistribution, target_angles
 
 __all__ = [
@@ -73,7 +73,8 @@ _SHIFT_GROWTH = 10.0
 # max(1, |x|)) or predicts a relative decrease of f below the tolerance.
 _STEP_RESOLUTION = 4.0 * np.finfo(float).eps
 _DECREASE_TOLERANCE = 1e-12
-_INIT_SCHEMES = ("least_squares", "uniform_random")
+# Entries of S_seen the least-squares start and the Hessian touch at once.
+_BLOCK_ENTRIES = 1 << 18
 
 
 def check_field_types(obj, types: dict[str, tuple[type, ...]], error: type = TypeError) -> None:
@@ -89,38 +90,24 @@ def check_field_types(obj, types: dict[str, tuple[type, ...]], error: type = Typ
 
 @dataclass(frozen=True)
 class OptimizeConfig:
-    """Knobs of the damped Newton search.
+    """Knobs of the damped Newton search from ``least_squares_start``.
 
-    ``init_scheme`` "least_squares" (the default) polishes the one
-    deterministic ``least_squares_start``.  "uniform_random" polishes
-    ``restarts`` starts drawn uniformly from [0, 2*pi)^M from the ``seed``
-    stream and keeps the best; it alone reads ``restarts`` and ``seed``.
-    ``max_iterations`` (accepted Newton steps per start) of None means
-    500 * M.  ``gradient_tolerance`` bounds the distance's gradient norm
-    at convergence.
+    ``max_iterations`` (accepted Newton steps) of None means 500 * M.
+    ``gradient_tolerance`` bounds the distance's gradient norm at
+    convergence.
     """
 
     max_iterations: int | None = None
     gradient_tolerance: float = 1e-8
-    restarts: int = 10
-    seed: int = 0
-    init_scheme: str = "least_squares"
 
     def __post_init__(self) -> None:
         check_field_types(self, {
             "max_iterations": (int, NoneType), "gradient_tolerance": (int, float),
-            "restarts": (int,), "seed": (int,),
         })
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.gradient_tolerance <= 0:
             raise ValueError(f"gradient_tolerance must be > 0, got {self.gradient_tolerance}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.init_scheme not in _INIT_SCHEMES:
-            raise ValueError(f"init_scheme must be one of {_INIT_SCHEMES}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +116,6 @@ class OptimizeResult:
     final_distance: float
     iterations_used: int
     converged: bool
-    restart_index: int
 
 
 def adjusted_target_angles(ansatz: Ansatz, target: TargetDistribution) -> np.ndarray:
@@ -218,17 +204,59 @@ def gradient(ansatz: Ansatz, params, target: TargetDistribution) -> np.ndarray:
     return e_grad / (2.0 * distance)
 
 
+def _row_blocks(n_rows: int, n_cols: int):
+    """Consecutive row slices of at most ``_BLOCK_ENTRIES`` entries (at
+    least one row each) of an n_rows x n_cols matrix."""
+    step = max(1, _BLOCK_ENTRIES // n_cols)
+    return (slice(start, start + step) for start in range(0, n_rows, step))
+
+
+def _seen_system(ansatz: Ansatz, target: TargetDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """(S_seen, t_seen): the seen rows of S and their goal angles.
+
+    S_seen is the cached read-only S itself when every input is seen.
+    """
+    seen = target.seen_mask
+    signs = sign_matrix(ansatz)
+    goal = adjusted_target_angles(ansatz, target)[seen]
+    return (signs if seen.all() else signs[seen]), goal
+
+
+def _least_squares(signs: np.ndarray, goal: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution of signs @ p = goal.
+
+    The triangular factor R of [S | t], reduced one row block at a time,
+    satisfies |S p - t| = |R[:, :M] p - R[:, M]| for every p and shares
+    S's singular values, so ``np.linalg.lstsq`` on R with the rank cutoff
+    it would apply to S returns S's solution without copying S.
+    """
+    n_rows, n_cols = signs.shape
+    factor = np.empty((0, n_cols + 1))
+    for rows in _row_blocks(n_rows, n_cols):
+        block = np.column_stack((signs[rows], goal[rows]))
+        factor = np.linalg.qr(np.vstack((factor, block)), mode="r")
+    cutoff = np.finfo(float).eps * max(n_rows, n_cols)
+    return np.linalg.lstsq(factor[:, :n_cols], factor[:, n_cols], rcond=cutoff)[0]
+
+
+def _weighted_gram(signs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """S^T diag(w) S, summed over row blocks."""
+    gram = np.zeros((signs.shape[1], signs.shape[1]))
+    for rows in _row_blocks(*signs.shape):
+        block = signs[rows]
+        gram += (block.T * weights[rows]) @ block
+    return gram
+
+
 def least_squares_start(ansatz: Ansatz, target: TargetDistribution) -> np.ndarray:
     """Parameters solving the seen angle system S_seen p = t_seen.
 
-    The least-squares solution of ``np.linalg.lstsq``, of minimum norm when
-    the system is underdetermined (more parameters than independent seen
-    inputs).  Its residuals are the linearization of E's, so it is the
-    analytic circuit for a target the family can realize exactly.
+    The least-squares solution, of minimum norm when the system is
+    underdetermined (more parameters than independent seen inputs).  Its
+    residuals are the linearization of E's, so it is the analytic circuit
+    for a target the family can realize exactly.
     """
-    seen = target.seen_mask
-    goal = adjusted_target_angles(ansatz, target)[seen]
-    return np.linalg.lstsq(sign_matrix(ansatz)[seen], goal)[0]
+    return _least_squares(*_seen_system(ansatz, target))
 
 
 def _newton_core(fun, x0: np.ndarray, stop, max_iterations: int):
@@ -292,26 +320,22 @@ def _newton_core(fun, x0: np.ndarray, stop, max_iterations: int):
 
 
 def minimize(ansatz: Ansatz, target: TargetDistribution, config: OptimizeConfig | None = None) -> OptimizeResult:
-    """Damped Newton on E from the least-squares start (or random starts).
+    """Damped Newton on E from ``least_squares_start``.
 
-    The default start is ``least_squares_start``, so the result is never
-    farther than that start.  The ``uniform_random`` scheme instead draws
-    start r from the named stream "init-r" of the config seed and keeps
-    the best of ``restarts``; ties go to the lower restart index.
-    Deterministic given (target, config).  Non-convergence is reported
-    through the ``converged`` flag, never raised.
+    The result is never farther than that start.  Deterministic given
+    (target, config).  Non-convergence is reported through the
+    ``converged`` flag, never raised.
     """
     if config is None:
         config = OptimizeConfig()
-    n_params = ansatz.param_count
-    max_iterations = config.max_iterations or 500 * n_params
+    max_iterations = config.max_iterations or 500 * ansatz.param_count
     gap = _seen_overlap(ansatz, target)
-    seen_signs = sign_matrix(ansatz)[target.seen_mask]
+    seen_signs, seen_goal = _seen_system(ansatz, target)
     tolerance = config.gradient_tolerance
 
     def fun(params):
         value, grad, weights = gap(params, curvature=True)
-        return value, grad, lambda: (seen_signs.T * weights) @ seen_signs
+        return value, grad, lambda: _weighted_gram(seen_signs, weights)
 
     def stop(e_value: float, e_grad: np.ndarray) -> bool:
         distance = np.sqrt(e_value)
@@ -319,25 +343,14 @@ def minimize(ansatz: Ansatz, target: TargetDistribution, config: OptimizeConfig 
             return True
         return float(np.linalg.norm(e_grad)) / (2.0 * distance) < tolerance
 
-    if config.init_scheme == "least_squares":
-        starts = [least_squares_start(ansatz, target)]
-    else:
-        starts = (stream(config.seed, f"init-{restart}").uniform(0.0, 2.0 * np.pi, n_params)
-                  for restart in range(config.restarts))
-    best: OptimizeResult | None = None
-    for restart, x0 in enumerate(starts):
-        x, e_value, _, iterations, converged = _newton_core(fun, x0, stop, max_iterations)
-        distance = float(np.sqrt(e_value))
-        if best is None or distance < best.final_distance:
-            best = OptimizeResult(
-                best_params=x,
-                final_distance=distance,
-                iterations_used=iterations,
-                converged=converged,
-                restart_index=restart,
-            )
-    assert best is not None
-    return best
+    x0 = _least_squares(seen_signs, seen_goal)
+    x, e_value, _, iterations, converged = _newton_core(fun, x0, stop, max_iterations)
+    return OptimizeResult(
+        best_params=x,
+        final_distance=float(np.sqrt(e_value)),
+        iterations_used=iterations,
+        converged=converged,
+    )
 
 
 def solve_exponential(target: TargetDistribution) -> np.ndarray:

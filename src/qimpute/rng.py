@@ -1,7 +1,7 @@
 """Deterministic named random streams.
 
-Each experiment stage (masking, optimizer initialization, output sampling,
-Monte Carlo draws, ...) pulls its generator from ``stream(seed, name)``.
+Each experiment stage (masking, output sampling, Monte Carlo draws, ...)
+pulls its generator from ``stream(seed, name)``.
 Streams with different names are statistically independent even under the
 same seed, so one experiment seed can drive every stage without coupling
 them.  Generators are PCG64, whose output is stable across platforms.

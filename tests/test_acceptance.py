@@ -21,7 +21,6 @@ from qimpute.harness import (
     run_sweep,
 )
 from qimpute.optimize import (
-    OptimizeConfig,
     finite_difference_gradient,
     gradient,
     objective,
@@ -283,12 +282,12 @@ def test_criterion_9_entropy_saturation(entropy_points):
 def test_criterion_10_reproducibility(out_root):
     fit_config = ExperimentConfig(
         experiment="fit", ansatz=("linear",), n_min=3, n_max=3, target="gaussian",
-        seeds=(1,), out_dir=str(out_root / "repro"), optimizer=OptimizeConfig(restarts=3),
+        seeds=(1,), out_dir=str(out_root / "repro"),
     )
     ratio_config = ExperimentConfig(
         experiment="majority_ratios", ansatz=("quadratic",), n_min=3, n_max=3,
         target="majority", fraction=0.5, seeds=(2,), outcomes=256,
-        out_dir=str(out_root / "repro"), optimizer=OptimizeConfig(restarts=2),
+        out_dir=str(out_root / "repro"),
     )
     identical = True
     for config, runner in ((fit_config, run_fit), (ratio_config, run_majority_ratios)):

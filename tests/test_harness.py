@@ -11,7 +11,6 @@ from qimpute.harness import (
     BOUND_SLACK,
     ConfigError,
     ExperimentConfig,
-    _validate_optimizer,
     _validate_oracle,
     classify_outcomes,
     run_bp_stats,
@@ -33,7 +32,7 @@ from qimpute.targets import majority_target, mask_fraction, save_target_csv, gau
 BADLY_TYPED_CONFIGS = (
     ("fit", {"optimizer": "x"}),
     ("entropy", {"optimizer": "x"}),
-    ("fit", {"optimizer": {"restarts": 2.5}}),
+    ("fit", {"optimizer": {"max_iterations": 2.5}}),
     ("fit", {"n_min": 2.5, "n_max": 3}),
     ("bp_stats", {"samples": 150.5}),
     ("majority_ratios", {"outcomes": 2.5}),
@@ -60,11 +59,12 @@ class TestConfig:
 
     def test_optimizer_subdict(self):
         config = ExperimentConfig.from_dict(
-            {"experiment": "fit", "optimizer": {"restarts": 2, "init_scheme": "uniform_random"}}
+            {"experiment": "fit", "optimizer": {"max_iterations": 40, "gradient_tolerance": 1e-6}}
         )
-        assert config.optimizer == OptimizeConfig(restarts=2, init_scheme="uniform_random")
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"experiment": "fit", "optimizer": {"restarts": 0}})
+        assert config.optimizer == OptimizeConfig(max_iterations=40, gradient_tolerance=1e-6)
+        for bad in ({"max_iterations": 0}, {"restarts": 2}):
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_dict({"experiment": "fit", "optimizer": bad})
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -114,7 +114,6 @@ class TestFit:
         config = ExperimentConfig(
             experiment="fit", ansatz=("linear",), n_min=3, n_max=3,
             target="gaussian", seeds=(1,), out_dir=str(tmp_path),
-            optimizer=OptimizeConfig(restarts=3),
         )
         output = run_fit(config)
         rows = read_rows(output.csv_path)
@@ -139,7 +138,7 @@ class TestFit:
     def test_rerun_byte_identical(self, tmp_path):
         config = ExperimentConfig(
             experiment="fit", ansatz=("linear",), n_min=2, n_max=2,
-            seeds=(5,), out_dir=str(tmp_path), optimizer=OptimizeConfig(restarts=2),
+            seeds=(5,), out_dir=str(tmp_path),
         )
         first = run_fit(config).csv_path.read_bytes()
         second = run_fit(config).csv_path.read_bytes()
@@ -151,7 +150,6 @@ class TestSweep:
         config = ExperimentConfig(
             experiment="sweep", ansatz=("linear", "quadratic"), n_min=2, n_max=4,
             target="majority", seeds=(1,), out_dir=str(tmp_path),
-            optimizer=OptimizeConfig(restarts=5),
         )
         output = run_sweep(config)
         rows = read_rows(output.csv_path)
@@ -167,7 +165,6 @@ class TestSweep:
         config = ExperimentConfig(
             experiment="sweep", ansatz=("linear",), n_min=3, n_max=3,
             target="random", seeds=(1, 2, 3), out_dir=str(tmp_path),
-            optimizer=OptimizeConfig(restarts=3),
         )
         output = run_sweep(config)
         assert len(output.rows) == 3
@@ -183,7 +180,6 @@ class TestGeneralize:
             config = ExperimentConfig(
                 experiment="generalize", ansatz=("linear",), n_min=3, n_max=3,
                 target="gaussian", fractions=fractions, seeds=(1,), out_dir=str(tmp_path),
-                optimizer=OptimizeConfig(restarts=3),
             )
             rows = read_rows(run_generalize(config).csv_path)
             assert len(rows) == len(fractions)
@@ -195,7 +191,6 @@ class TestGeneralize:
         config = ExperimentConfig(
             experiment="generalize", ansatz=("linear",), n_min=4, n_max=4,
             target="gaussian", fractions=(0.5,), seeds=(1,), out_dir=str(tmp_path),
-            optimizer=OptimizeConfig(restarts=3),
         )
         row = read_rows(run_generalize(config).csv_path)[0]
         for column in ("d_h_opt", "d_h_seen", "d_h_unseen", "d_h_full"):
@@ -213,7 +208,7 @@ class TestMajorityRatios:
         config = ExperimentConfig(
             experiment="majority_ratios", ansatz=("quadratic",), n_min=3, n_max=3,
             target="majority", fraction=0.0, seeds=(1,), outcomes=512,
-            out_dir=str(tmp_path), optimizer=OptimizeConfig(restarts=3),
+            out_dir=str(tmp_path),
         )
         row = read_rows(run_majority_ratios(config).csv_path)[0]
         assert row["hits_unseen"] == "0"
@@ -281,24 +276,16 @@ class TestValidate:
         assert not bad["passed"]
         assert bad["max_deviation"] > 1e-10
 
-    def test_optimizer_suite_catches_random_starts(self):
-        # paper-faithful random starts converge into poorer basins than the
-        # least-squares start, well within the capacity bound
-        good = _validate_optimizer()
-        bad = _validate_optimizer(OptimizeConfig(init_scheme="uniform_random", restarts=1))
-        assert good["passed"]
-        assert good["max_excess_over_start"] <= 1e-9
-        assert not bad["passed"]
-        assert bad["max_excess_over_start"] > 0.1
-
     def test_full_report(self, tmp_path):
         config = ExperimentConfig(experiment="validate", out_dir=str(tmp_path))
         report, path = run_validate(config)
         assert report["passed"]
         assert set(report["suites"]) == {
-            "oracle_equivalence", "gradient_check", "bound_compliance", "optimizer_quality",
-            "exponential_exactness",
+            "oracle_equivalence", "gradient_check", "bound_compliance", "exponential_exactness",
         }
+        bounds = report["suites"]["bound_compliance"]
+        assert bounds["runs_checked"] == 16
+        assert bounds["violations"] == bounds["unconverged"] == []
         assert json.loads(path.read_text())["passed"]
 
 
@@ -334,13 +321,13 @@ class TestCli:
         for argv in (
             ["validate", "--seed", "1"],
             ["validate", "--n", "3"],
-            ["entropy", "--n", "3", "--restarts", "3"],
+            ["entropy", "--n", "3", "--center", "1.5"],
             ["entropy", "--target", "majority"],
             ["entropy", "--fraction", "0.5"],
             ["fit", "--full-scale"],
             ["fit", "--m-sweep-n", "4"],
             ["sweep", "--outcomes", "8"],
-            ["bp-stats", "--restarts", "2"],
+            ["bp-stats", "--fractions", "0.5"],
         ):
             with pytest.raises(SystemExit) as exit_info:
                 _build_parser().parse_args(argv)
@@ -354,11 +341,10 @@ class TestCli:
         target_path = tmp_path / "target.csv"
         save_target_csv(gaussian_target(2), str(target_path))
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"optimizer": {"init_scheme": "uniform_random",
-                                                         "restarts": 1}}))
+        config_path.write_text(json.dumps({"optimizer": {"max_iterations": 40}}))
         cases = {
             "--config": (["fit", "--config", str(config_path)], "optimizer",
-                         OptimizeConfig(init_scheme="uniform_random", restarts=1)),
+                         OptimizeConfig(max_iterations=40)),
             "--out": (["fit", "--out", "somewhere"], "out_dir", "somewhere"),
             "--seed": (["fit", "--seed", "7"], "seeds", (7,)),
             "--seeds": (["sweep", "--seeds", "3,1,2"], "seeds", (3, 1, 2)),
@@ -375,8 +361,6 @@ class TestCli:
             "--samples": (["entropy", "--samples", "200"], "samples", 200),
             "--outcomes": (["majority-ratios", "--outcomes", "64"], "outcomes", 64),
             "--m-sweep-n": (["bp-stats", "--m-sweep-n", "5"], "m_sweep_n", 5),
-            "--restarts": (["fit", "--config", str(config_path), "--restarts", "3"], "optimizer",
-                           OptimizeConfig(init_scheme="uniform_random", restarts=3)),
             "--full-scale": (["sweep", "--full-scale"], "n_max", 16),
         }
         assert set(cases) == set(_FLAGS)
@@ -394,7 +378,7 @@ class TestCli:
 
     def test_fit_run(self, tmp_path, capsys):
         code = main([
-            "fit", "--n", "2", "--seed", "1", "--out", str(tmp_path), "--restarts", "2",
+            "fit", "--n", "2", "--seed", "1", "--out", str(tmp_path)
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -407,7 +391,7 @@ class TestCli:
         config_path.write_text(json.dumps({"n_min": 2, "n_max": 2, "seeds": [9]}))
         code = main([
             "fit", "--config", str(config_path), "--seed", "4",
-            "--out", str(tmp_path), "--restarts", "2",
+            "--out", str(tmp_path)
         ])
         assert code == 0
         rows = read_rows(next(tmp_path.glob("fit-*.csv")))
@@ -416,7 +400,7 @@ class TestCli:
 
     def test_env_var_output_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QIMPUTE_OUT_DIR", str(tmp_path / "from_env"))
-        assert main(["fit", "--n", "2", "--seed", "1", "--restarts", "2"]) == 0
+        assert main(["fit", "--n", "2", "--seed", "1"]) == 0
         assert list((tmp_path / "from_env").glob("fit-*.csv"))
 
     def test_csv_target_through_cli(self, tmp_path, capsys):
@@ -424,7 +408,7 @@ class TestCli:
         save_target_csv(gaussian_target(2), str(target_path))
         code = main([
             "fit", "--target", "csv", "--csv", str(target_path), "--n", "2",
-            "--seed", "1", "--out", str(tmp_path), "--restarts", "2",
+            "--seed", "1", "--out", str(tmp_path)
         ])
         assert code == 0
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qimpute import optimize
 from qimpute.ansatz import Ansatz, conditional_output, effective_angles, sign_matrix
 from qimpute.metrics import restricted_distance, state_distance, worst_case_bound
 from qimpute.optimize import (
@@ -60,7 +61,7 @@ class TestObjective:
             np.array([[1.0, 0.0], [0.0, 0.0], [0.25, 0.75], [0.0, 0.0]]),
             seen_mask=np.array([True, False, True, False]),
         )
-        result = minimize(Ansatz.linear(2), target, OptimizeConfig(seed=0, restarts=3))
+        result = minimize(Ansatz.linear(2), target)
         assert result.final_distance < 1e-7
 
     def test_dimension_mismatch(self):
@@ -234,59 +235,66 @@ class TestLeastSquaresStart:
         assert result.final_distance < 1e-12
         assert np.max(np.abs(result.best_params - expected)) < 1e-12
 
+    @pytest.mark.parametrize("fraction", [0.0, 0.6])
+    def test_row_blocks_match_one_block(self, fraction, monkeypatch):
+        # blocks of two rows reduce the start and the Hessian piecewise
+        ansatz = Ansatz.quadratic(5)
+        target = random_target(5, seed=4)
+        target = mask_fraction(target, fraction, seed=4) if fraction else target
+        whole = minimize(ansatz, target)
+        seen = target.seen_mask
+        goal = adjusted_target_angles(ansatz, target)[seen]
+        expected = np.linalg.lstsq(sign_matrix(ansatz)[seen], goal)[0]
+        monkeypatch.setattr(optimize, "_BLOCK_ENTRIES", 2 * ansatz.param_count)
+        assert np.max(np.abs(least_squares_start(ansatz, target) - expected)) < 1e-12
+        signs = sign_matrix(ansatz)[seen]
+        weights = np.cos(np.arange(seen.sum()))
+        gram = optimize._weighted_gram(signs, weights)
+        assert np.max(np.abs(gram - (signs.T * weights) @ signs)) < 1e-12
+        blocked = minimize(ansatz, target)
+        assert blocked.converged and whole.converged
+        assert blocked.final_distance == pytest.approx(whole.final_distance, rel=1e-9, abs=1e-15)
+        assert np.max(np.abs(blocked.best_params - whole.best_params)) < 1e-9
+
 
 class TestMinimize:
     def test_gaussian_linear_beats_bound(self):
         target = gaussian_target(3)
-        result = minimize(Ansatz.linear(3), target, OptimizeConfig(seed=1))
+        result = minimize(Ansatz.linear(3), target)
         assert result.final_distance < worst_case_bound(4, 3)
         assert result.final_distance < 0.35
-        assert 0 <= result.restart_index < 10
 
     def test_majority_quadratic_beats_linear(self):
         target = majority_target(3)
-        lin = minimize(Ansatz.linear(3), target, OptimizeConfig(seed=1))
-        qua = minimize(Ansatz.quadratic(3), target, OptimizeConfig(seed=1))
+        lin = minimize(Ansatz.linear(3), target)
+        qua = minimize(Ansatz.quadratic(3), target)
         assert qua.final_distance < lin.final_distance
 
     def test_deterministic(self):
-        target = random_target(4, seed=5)
-        config = OptimizeConfig(seed=7, restarts=3)
-        first = minimize(Ansatz.linear(4), target, config)
-        second = minimize(Ansatz.linear(4), target, config)
+        target = mask_fraction(random_target(4, seed=5), 0.3, seed=5)
+        first = minimize(Ansatz.quadratic(4), target)
+        second = minimize(Ansatz.quadratic(4), target)
         assert first.final_distance == second.final_distance
         assert first.iterations_used == second.iterations_used
-        assert first.restart_index == second.restart_index
+        assert first.converged == second.converged
         assert np.array_equal(first.best_params, second.best_params)
-
-    def test_uniform_random_init_scheme(self):
-        target = random_target(4, seed=5)
-        config = OptimizeConfig(seed=7, restarts=3, init_scheme="uniform_random")
-        first = minimize(Ansatz.quadratic(4), target, config)
-        second = minimize(Ansatz.quadratic(4), target, config)
-        assert np.array_equal(first.best_params, second.best_params)
-        assert first.converged
-        assert 0 <= first.restart_index < 3
-        other = minimize(Ansatz.quadratic(4), target, OptimizeConfig(seed=8, restarts=3,
-                                                                   init_scheme="uniform_random"))
-        assert not np.array_equal(first.best_params, other.best_params)
 
     def test_result_within_unit_interval(self):
         target = random_target(3, seed=8)
-        result = minimize(Ansatz.linear(3), target, OptimizeConfig(seed=2, restarts=2))
+        result = minimize(Ansatz.linear(3), target)
         assert 0.0 <= result.final_distance <= 1.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            OptimizeConfig(restarts=0)
-        with pytest.raises(ValueError):
             OptimizeConfig(gradient_tolerance=0.0)
         with pytest.raises(ValueError):
-            OptimizeConfig(init_scheme="zeros")
-        with pytest.raises(ValueError):
             OptimizeConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            OptimizeConfig(seed=-1)
+        with pytest.raises(TypeError):
+            OptimizeConfig(max_iterations=2.5)
+        # the optimizer has one deterministic start and no restart knobs
+        for removed in ("restarts", "seed", "init_scheme"):
+            with pytest.raises(TypeError):
+                OptimizeConfig(**{removed: 1})
 
 
 class TestSolveExponential:
