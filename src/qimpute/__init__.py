@@ -42,7 +42,6 @@ from .metrics import (
     worst_case_bound,
 )
 from .optimize import (
-    OptimizeConfig,
     OptimizeResult,
     gradient,
     least_squares_start,

@@ -52,6 +52,7 @@ __all__ = [
     "Ansatz",
     "ConditionalOutput",
     "param_count",
+    "check_sign_matrix_size",
     "effective_angles",
     "flip_bits",
     "sign_matrix",
@@ -77,6 +78,14 @@ def param_count(kind: str, n_inputs: int) -> int:
     if kind == "exponential":
         return 1 << n_inputs
     raise ValueError(f"unknown ansatz kind {kind!r}")
+
+
+def check_sign_matrix_size(kind: str, n_inputs: int, n_params: int) -> None:
+    """Refuse (ValueError) a 2^N x M sign matrix above
+    ``_SIGN_MATRIX_MAX_ENTRIES`` entries."""
+    if (1 << n_inputs) * n_params > _SIGN_MATRIX_MAX_ENTRIES:
+        raise ValueError(f"{kind} width {n_inputs} needs a sign matrix above "
+                         f"{_SIGN_MATRIX_MAX_ENTRIES} entries")
 
 
 def _single_controls(n_inputs: int) -> list[tuple[int, ...]]:
@@ -135,16 +144,11 @@ class Ansatz:
     def signs(self) -> np.ndarray:
         """The dense, read-only (2^N x M) sign matrix S: theta = S @ params.
 
-        Built once per instance from ``_phases``; refused (ValueError)
-        above ``_SIGN_MATRIX_MAX_ENTRIES`` entries.
+        Built once per instance from ``_phases``; refused by
+        ``check_sign_matrix_size`` when too large.
         """
-        n_states = 1 << self.n_inputs
-        if n_states * self.param_count > _SIGN_MATRIX_MAX_ENTRIES:
-            raise ValueError(
-                f"sign matrix for {self.kind} width {self.n_inputs} exceeds "
-                f"{_SIGN_MATRIX_MAX_ENTRIES} entries"
-            )
-        signs = np.empty((n_states, self.param_count))
+        check_sign_matrix_size(self.kind, self.n_inputs, self.param_count)
+        signs = np.empty((1 << self.n_inputs, self.param_count))
         signs[:, 0] = 1.0
         for k, phase in enumerate(_phases(self), start=1):
             signs[:, k] = np.where(phase, -1.0, 1.0)

@@ -4,8 +4,9 @@ One subcommand per experiment.  Values resolve in three layers: built-in
 subcommand defaults, then a JSON config file (--config), then explicit
 flags, with later layers winning.  One table, ``_FLAGS``, declares every
 flag with the config field it sets, and each subcommand accepts only the
-flags its experiment reads.  Exit codes: 0 on success, 1 when the
-validation suite fails, 2 on configuration and usage errors.
+flags of the fields its experiment reads (``harness.fields_read``).  Exit
+codes: 0 on success, 1 when the validation suite fails, 2 on
+configuration and usage errors.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    fields_read,
     run_experiment,
     run_validate,
 )
@@ -50,34 +52,30 @@ def _comma_list(item_type):
     return parse
 
 
-_DATA = ("fit", "sweep", "generalize", "majority_ratios", "bp_stats", "entropy")
-_TARGETED = ("fit", "sweep", "generalize", "bp_stats")
-
-# flag -> (config field, value type, help, subcommands whose runner reads it).
-# A bool type makes a switch; a field of None marks the flags
-# _resolve_config maps itself.
+# flag -> (config field, value type, help).  A subcommand takes a flag when
+# its experiment reads the field; --seed and --n are the one-value forms
+# of --seeds and --n-min/--n-max.  --config (every subcommand) and
+# --full-scale (sweep) set several fields and name none.  A bool type
+# makes a switch.
 _FLAGS = {
-    "--config": (None, str, "JSON config file; flags override its values", tuple(_DEFAULTS)),
-    "--out": ("out_dir", str, "output directory (default $QIMPUTE_OUT_DIR or ./results)",
-              tuple(_DEFAULTS)),
-    "--seed": (None, int, "single experiment seed", _DATA),
-    "--seeds": ("seeds", _comma_list(int), "comma-separated seed list", _DATA),
-    "--ansatz": ("ansatz", _comma_list(str), "comma-separated ansatz kinds", _DATA),
-    "--n": (None, int, "single input width", _DATA),
-    "--n-min": ("n_min", int, "smallest input width", _DATA),
-    "--n-max": ("n_max", int, "largest input width", _DATA),
-    "--target": ("target", str, "gaussian, majority, random or csv", _TARGETED),
-    "--csv": ("target_csv", str, "target CSV path (implies --target csv)", _TARGETED),
-    "--center": ("center", float, "gaussian target center override", _TARGETED),
-    "--sigma": ("sigma", float, "gaussian target width override", _TARGETED),
-    "--fraction": ("fraction", float, "masked fraction of inputs", ("fit", "majority_ratios")),
-    "--fractions": ("fractions", _comma_list(float), "comma-separated mask fractions",
-                    ("generalize",)),
-    "--samples": ("samples", int, "Monte Carlo sample count", ("bp_stats", "entropy")),
-    "--outcomes": ("outcomes", int, "sampled outcome count", ("majority_ratios",)),
-    "--m-sweep-n": ("m_sweep_n", int, "also sweep gate count at this fixed width",
-                    ("bp_stats",)),
-    "--full-scale": (None, bool, "long-running full reproduction scale", ("sweep",)),
+    "--config": (None, str, "JSON config file; flags override its values"),
+    "--out": ("out_dir", str, "output directory (default $QIMPUTE_OUT_DIR or ./results)"),
+    "--seed": ("seeds", int, "single experiment seed"),
+    "--seeds": ("seeds", _comma_list(int), "comma-separated seed list"),
+    "--ansatz": ("ansatz", _comma_list(str), "comma-separated ansatz kinds"),
+    "--n": ("n_min", int, "single input width"),
+    "--n-min": ("n_min", int, "smallest input width"),
+    "--n-max": ("n_max", int, "largest input width"),
+    "--target": ("target", str, "gaussian, majority, random or csv"),
+    "--csv": ("target_csv", str, "target CSV path (implies --target csv)"),
+    "--center": ("center", float, "gaussian target center override"),
+    "--sigma": ("sigma", float, "gaussian target width override"),
+    "--fraction": ("fraction", float, "masked fraction of inputs"),
+    "--fractions": ("fractions", _comma_list(float), "comma-separated mask fractions"),
+    "--samples": ("samples", int, "Monte Carlo sample count"),
+    "--outcomes": ("outcomes", int, "sampled outcome count"),
+    "--m-sweep-n": ("m_sweep_n", int, "also sweep gate count at this fixed width"),
+    "--full-scale": (None, bool, "long-running full reproduction scale"),
 }
 
 
@@ -90,10 +88,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _DEFAULTS:
         cmd = sub.add_parser(name.replace("_", "-"), help=f"run the {name} experiment")
         cmd.set_defaults(experiment=name)
-        for flag, (field, kind, text, readers) in _FLAGS.items():
-            if name in readers:
+        takes = fields_read(name)
+        for flag, (field, kind, text) in _FLAGS.items():
+            if field in takes or flag == "--config" or (flag, name) == ("--full-scale", "sweep"):
                 parse = {"action": "store_true"} if kind is bool else {"type": kind}
-                cmd.add_argument(flag, dest=field, help=text, **parse)
+                cmd.add_argument(flag, help=text, **parse)
     return parser
 
 
@@ -113,14 +112,15 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
     if flags.get("full_scale"):
         data.update(_FULL_SCALE)
-    if flags.get("seed") is not None:
-        data["seeds"] = [args.seed]
-    if flags.get("n") is not None:
-        data["n_min"] = data["n_max"] = args.n
-    for field, *_ in _FLAGS.values():
-        if field and flags.get(field) is not None:
-            data[field] = flags[field]
-    if flags.get("target_csv") is not None and flags.get("target") is None:
+    # In table order, so --seeds, --n-min and --n-max win over --seed and --n.
+    for flag, (field, *_) in _FLAGS.items():
+        value = flags.get(flag[2:].replace("-", "_"))
+        if field is None or value is None:
+            continue
+        if flag == "--n":
+            data["n_max"] = value
+        data[field] = [value] if flag == "--seed" else value
+    if flags.get("csv") is not None and flags.get("target") is None:
         data["target"] = "csv"
     return ExperimentConfig.from_dict(data)
 

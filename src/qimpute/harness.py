@@ -6,6 +6,12 @@ the resolved configuration, timing and aggregates.  CSV content is a pure
 function of (configuration, seeds): floats are written with shortest
 round-trip formatting and newlines are fixed, so reruns are byte
 identical.  Wall time lives in the sidecar only, for exactly that reason.
+Every file is written to a temp file and renamed into place.
+
+One table, ``_READS``, records which config fields each experiment
+reads.  A config must leave every other field at its default, so the
+experiment id, a hash of the whole config, names one set of numbers; the
+CLI offers each subcommand the flags of the fields it reads.
 
 The experiments that optimize (fit, sweep, generalize, majority_ratios
 and the validate bound suite) share one fit loop, ``_fits``: for every
@@ -25,11 +31,12 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
+from functools import cache
 from itertools import groupby
 from pathlib import Path
 from types import NoneType
-from typing import Callable, Iterator
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -41,18 +48,16 @@ from .analysis import (
     mean_entropy,
 )
 from .ansatz import (
-    _SIGN_MATRIX_MAX_ENTRIES,
     ANSATZ_KINDS,
     Ansatz,
     ConditionalOutput,
+    check_sign_matrix_size,
     conditional_output,
     param_count,
     statevector,
 )
 from .metrics import restricted_distance, worst_case_bound
 from .optimize import (
-    OptimizeConfig,
-    check_field_types,
     finite_difference_gradient,
     gradient,
     minimize,
@@ -86,17 +91,50 @@ __all__ = [
     "run_entropy",
     "run_validate",
     "run_experiment",
+    "fields_read",
     "sample_outcomes",
     "classify_outcomes",
 ]
 
-EXPERIMENTS = ("fit", "sweep", "generalize", "majority_ratios", "bp_stats", "entropy", "validate")
 OUTPUT_DIR_ENV = "QIMPUTE_OUT_DIR"
 BOUND_SLACK = 1e-9
 # Widest input register a config may ask for.
 MAX_INPUT_WIDTH = 20
 
 _TARGET_KINDS = ("gaussian", "majority", "random", "csv")
+_GRID = ("ansatz", "n_min", "n_max", "seeds")
+# The fields each experiment reads besides experiment and out_dir:
+# experiment -> (its fields, the target kinds it runs on, the kinds on
+# which it reads every seed rather than one).  With no kind it builds no
+# target; with one, the target is fixed rather than chosen.  Every other
+# field must keep its default, so that one set of numbers gets one id.
+_READS = {
+    "fit": (_GRID + ("fraction",), _TARGET_KINDS, ()),
+    "sweep": (_GRID, _TARGET_KINDS, ("random",)),
+    "generalize": (_GRID + ("fractions",), _TARGET_KINDS, ()),
+    "majority_ratios": (_GRID + ("fraction", "outcomes"), ("majority",), ("majority",)),
+    "bp_stats": (_GRID + ("samples", "m_sweep_n"), _TARGET_KINDS, ()),
+    "entropy": (_GRID + ("samples",), (), ()),
+    "validate": ((), (), ()),
+}
+EXPERIMENTS = tuple(_READS)
+# Fields read only on a target of this kind.
+_TARGET_FIELDS = {"gaussian": ("center", "sigma"), "csv": ("target_csv",)}
+
+
+@cache
+def fields_read(experiment: str, target: str | None = None) -> frozenset[str]:
+    """The config fields ``experiment`` reads on a ``target`` kind, or on
+    any kind it runs on when None.  A target kind that is fixed, not
+    chosen, counts as read only on that kind."""
+    own, targets, _ = _READS[experiment]
+    read = {"experiment", "out_dir", *own}
+    for kind in targets:
+        if target in (None, kind):
+            read.update(_TARGET_FIELDS.get(kind, ()))
+    if len(targets) > 1 or target in targets:
+        read.add("target")
+    return frozenset(read)
 
 
 class ConfigError(ValueError):
@@ -119,17 +157,23 @@ class ExperimentConfig:
     outcomes: int = 1024
     samples: int = 1000
     m_sweep_n: int | None = None
-    optimizer: OptimizeConfig = field(default_factory=OptimizeConfig)
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
-        check_field_types(self, {
+        # Each field (each item of a sequence field) must be one of its
+        # types; a bool is not a number.
+        for name, allowed in {
             "n_min": (int,), "n_max": (int,), "seeds": (int,), "outcomes": (int,),
             "samples": (int,), "m_sweep_n": (int, NoneType), "fraction": (int, float),
             "fractions": (int, float), "center": (int, float, NoneType),
-            "sigma": (int, float, NoneType), "optimizer": (OptimizeConfig,),
-            "target_csv": (str, NoneType), "out_dir": (str, NoneType),
-        }, error=ConfigError)
+            "sigma": (int, float, NoneType), "target_csv": (str, NoneType),
+            "out_dir": (str, NoneType),
+        }.items():
+            value = getattr(self, name)
+            for item in value if isinstance(value, (tuple, list)) else (value,):
+                if isinstance(item, bool) or not isinstance(item, allowed):
+                    names = " or ".join(kind.__name__ for kind in allowed)
+                    raise ConfigError(f"{name} must be {names}, got {item!r}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
         for kind in self.ansatz:
@@ -137,8 +181,19 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown ansatz kind {kind!r}; choose from {ANSATZ_KINDS}")
         if not self.ansatz:
             raise ConfigError("at least one ansatz kind is required")
-        if self.target not in _TARGET_KINDS:
-            raise ConfigError(f"unknown target {self.target!r}; choose from {_TARGET_KINDS}")
+        _, targets, every_seed = _READS[self.experiment]
+        if self.target not in (targets or _TARGET_KINDS):
+            raise ConfigError(f"{self.experiment} cannot run on target {self.target!r}; "
+                              f"choose from {targets or _TARGET_KINDS}")
+        read = fields_read(self.experiment, self.target)
+        for spec in fields(self):
+            if spec.name not in read and getattr(self, spec.name) != spec.default:
+                raise ConfigError(f"{self.experiment} does not read {spec.name} (target "
+                                  f"{self.target}); leave it at {spec.default!r}")
+        if len(self.seeds) > 1 and self.target not in every_seed:
+            raise ConfigError(f"{self.experiment} on the {self.target} target reads one seed")
+        if self.experiment == "generalize" and not self.fractions:
+            raise ConfigError("generalize requires at least one mask fraction")
         if self.target == "csv" and not self.target_csv:
             raise ConfigError("target 'csv' requires target_csv")
         if self.target_csv and not os.path.exists(self.target_csv):
@@ -161,19 +216,17 @@ class ExperimentConfig:
         if self.samples < MIN_SAMPLE_COUNT:
             raise ConfigError(f"samples must be >= {MIN_SAMPLE_COUNT}, got {self.samples}")
         if self.m_sweep_n is not None and not 1 <= self.m_sweep_n <= MAX_INPUT_WIDTH:
-            raise ConfigError(
-                f"m_sweep_n must lie in 1..{MAX_INPUT_WIDTH}, got {self.m_sweep_n}"
-            )
+            raise ConfigError(f"m_sweep_n must lie in 1..{MAX_INPUT_WIDTH}, got {self.m_sweep_n}")
         # Every family at every width runs on its cached dense sign matrix,
         # bp_stats also for its gate-count sweep.
         shapes = [(kind, self.n_max) for kind in self.ansatz]
-        if self.experiment == "bp_stats" and self.m_sweep_n is not None:
+        if self.m_sweep_n is not None:
             shapes.append(("quadratic", self.m_sweep_n))
         for kind, n in shapes:
-            if (1 << n) * param_count(kind, n) > _SIGN_MATRIX_MAX_ENTRIES:
-                raise ConfigError(
-                    f"{kind} width {n} needs a sign matrix above {_SIGN_MATRIX_MAX_ENTRIES} entries"
-                )
+            try:
+                check_sign_matrix_size(kind, n, param_count(kind, n))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -183,27 +236,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
         for key in ("ansatz", "fractions", "seeds"):
-            if key in kwargs and kwargs[key] is not None:
-                value = kwargs[key]
-                if isinstance(value, (str, int, float)):
-                    value = [value]
-                kwargs[key] = tuple(value)
-        if "optimizer" in kwargs and isinstance(kwargs["optimizer"], dict):
-            try:
-                kwargs["optimizer"] = OptimizeConfig(**kwargs["optimizer"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad optimizer config: {exc}") from exc
+            value = kwargs.get(key)
+            if value is not None:
+                kwargs[key] = tuple([value] if isinstance(value, (str, int, float)) else value)
         try:
             return cls(**kwargs)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def resolved(self) -> dict:
-        data = asdict(self)
-        data["optimizer"] = asdict(self.optimizer)
-        for key in ("ansatz", "fractions", "seeds"):
-            data[key] = list(data[key])
-        return data
 
 
 @dataclass(frozen=True)
@@ -266,10 +305,23 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _write_atomic(path: Path, write: Callable[[IO[str]], None]) -> None:
+    """Write ``path`` through ``write`` into a temp file beside it, then
+    rename it into place, so no reader sees a partial file and a failed
+    write leaves none behind."""
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", newline="") as handle:
+            write(handle)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write_atomic(path, lambda handle: handle.write(text))
 
 
 class _Run:
@@ -285,7 +337,8 @@ class _Run:
     def __init__(self, config: ExperimentConfig) -> None:
         self.started = time.perf_counter()
         self.config = config
-        self.resolved = config.resolved()
+        # JSON writes the tuple fields as lists.
+        self.resolved = asdict(config)
         # The id names the scientific configuration; where it lands on
         # disk must not change it.
         hashed = {k: v for k, v in self.resolved.items() if k != "out_dir"}
@@ -300,10 +353,13 @@ class _Run:
         header = list(dict.fromkeys(key for row in rows for key in row))
         aggregates = aggregates or {}
         csv_path = _out_dir(self.config) / f"{self.experiment_id}.csv"
-        with open(csv_path, "w", newline="") as handle:
+
+        def write_rows(handle: IO[str]) -> None:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)
             writer.writerows([_cell(row.get(col)) for col in header] for row in rows)
+
+        _write_atomic(csv_path, write_rows)
         sidecar_path = csv_path.with_suffix(".json")
         _write_json(sidecar_path, {
             "experiment_id": self.experiment_id,
@@ -312,14 +368,8 @@ class _Run:
             "aggregates": aggregates,
             "bound_violations": self.violations,
         })
-        return ExperimentOutput(
-            experiment_id=self.experiment_id,
-            csv_path=csv_path,
-            sidecar_path=sidecar_path,
-            rows=rows,
-            aggregates=aggregates,
-            bound_violations=self.violations,
-        )
+        return ExperimentOutput(self.experiment_id, csv_path, sidecar_path, rows, aggregates,
+                                self.violations)
 
 
 def _build_target(config: ExperimentConfig, n_inputs: int, seed: int) -> TargetDistribution:
@@ -337,16 +387,14 @@ def _build_target(config: ExperimentConfig, n_inputs: int, seed: int) -> TargetD
     return target
 
 
-def _optimize(kind: str, target: TargetDistribution, optimizer: OptimizeConfig):
-    """Run the family-appropriate solver; exact solve for the exponential.
-
-    Returns (ansatz, params, distance, converged).
-    """
+def _optimize(kind: str, target: TargetDistribution):
+    """(ansatz, params, distance, converged) from the family's solver, exact
+    for the exponential."""
     ansatz = getattr(Ansatz, kind)(target.n_inputs)
     if kind == "exponential":
         params = solve_exponential(target)
         return ansatz, params, objective(ansatz, params, target), True
-    result = minimize(ansatz, target, optimizer)
+    result = minimize(ansatz, target)
     return ansatz, result.best_params, result.final_distance, result.converged
 
 
@@ -371,10 +419,7 @@ class _Fit:
 
 
 def _fits(
-    config: ExperimentConfig,
-    violations: list[dict],
-    seeds: tuple[int, ...],
-    fractions: tuple[float, ...],
+    config: ExperimentConfig, violations: list[dict], fractions: tuple[float, ...]
 ) -> Iterator[_Fit]:
     """Every fit of a run in CSV row order: ansatz, width, seed, fraction.
 
@@ -384,14 +429,14 @@ def _fits(
     """
     for kind in config.ansatz:
         for n in range(config.n_min, config.n_max + 1):
-            for seed in seeds:
+            for seed in config.seeds:
                 full = _build_target(config, n, seed)
                 for fraction in fractions:
                     try:
                         target = mask_fraction(full, fraction, seed) if fraction > 0 else full
                     except ValueError as exc:
                         raise ConfigError(str(exc)) from exc
-                    ansatz, params, distance, converged = _optimize(kind, target, config.optimizer)
+                    ansatz, params, distance, converged = _optimize(kind, target)
                     bound = worst_case_bound(ansatz.param_count, n)
                     if distance > bound + BOUND_SLACK:
                         violations.append({
@@ -406,7 +451,7 @@ def run_fit(config: ExperimentConfig) -> ExperimentOutput:
     """Optimize once per (ansatz, width) and dump target vs circuit probabilities."""
     run = _Run(config)
     rows: list[dict] = []
-    for fit in _fits(config, run.violations, config.seeds[:1], (config.fraction,)):
+    for fit in _fits(config, run.violations, (config.fraction,)):
         joint_circuit = conditional_output(fit.ansatz, fit.params).joint_probabilities()
         for b in range(fit.target.n_states):
             bits = format(b, f"0{fit.ansatz.n_inputs}b")
@@ -423,10 +468,9 @@ def run_fit(config: ExperimentConfig) -> ExperimentOutput:
 def run_sweep(config: ExperimentConfig) -> ExperimentOutput:
     """Optimized distance per width and family; random targets repeat per seed."""
     run = _Run(config)
-    seeds = config.seeds if config.target == "random" else config.seeds[:1]
     rows = [
         dict(fit.columns, target=config.target, bound=fit.bound, d_h=fit.distance)
-        for fit in _fits(config, run.violations, seeds, (0.0,))
+        for fit in _fits(config, run.violations, (0.0,))
     ]
     cells = []
     for (kind, n), cell in groupby(rows, key=lambda row: (row["ansatz"], row["n"])):
@@ -452,8 +496,7 @@ def run_generalize(config: ExperimentConfig) -> ExperimentOutput:
     """
     run = _Run(config)
     rows: list[dict] = []
-    fractions = config.fractions or (config.fraction,)
-    for fit in _fits(config, run.violations, config.seeds[:1], fractions):
+    for fit in _fits(config, run.violations, config.fractions):
         out = conditional_output(fit.ansatz, fit.params)
         hid_inputs = fit.target.seen_mask.sum() < fit.full.seen_mask.sum()
         d_unseen = (
@@ -492,11 +535,9 @@ def classify_outcomes(
 
 def run_majority_ratios(config: ExperimentConfig) -> ExperimentOutput:
     """Train on a masked rule target, sample the circuit, count rule-correct draws."""
-    if config.target != "majority":
-        raise ConfigError("majority_ratios requires the majority target")
     run = _Run(config)
     rows: list[dict] = []
-    for fit in _fits(config, run.violations, config.seeds, (config.fraction,)):
+    for fit in _fits(config, run.violations, (config.fraction,)):
         out = conditional_output(fit.ansatz, fit.params)
         draws = sample_outcomes(out, config.outcomes, stream(fit.seed, "sampling"))
         report = classify_outcomes(draws, fit.full, fit.target.seen_mask)
@@ -569,11 +610,7 @@ def run_entropy(config: ExperimentConfig) -> ExperimentOutput:
                 "samples": stats.sample_count, "mean_entropy": stats.mean_entropy,
             })
         if len(points) >= 4:
-            fit = fit_entropy_curve(points)
-            fits[kind] = {
-                "a": fit.a, "b": fit.b, "c": fit.c,
-                "residual": fit.residual, "degenerate": fit.degenerate,
-            }
+            fits[kind] = asdict(fit_entropy_curve(points))
     return run.write(rows, {"fits": fits})
 
 
@@ -608,15 +645,14 @@ def _validate_gradient(points: int = 7) -> dict:
 
 def _validate_bounds() -> dict:
     runs = (
-        ExperimentConfig("validate", ansatz=("linear", "quadratic"), n_min=2, n_max=6,
+        ExperimentConfig("sweep", ansatz=("linear", "quadratic"), n_min=2, n_max=6,
                          target="majority"),
-        ExperimentConfig("validate", ansatz=("quadratic",), n_min=6, n_max=6,
+        ExperimentConfig("sweep", ansatz=("quadratic",), n_min=6, n_max=6,
                          target="random", seeds=(1, 2, 3, 4, 5)),
-        ExperimentConfig("validate", n_min=6, n_max=6, fraction=0.5),
+        ExperimentConfig("fit", n_min=6, n_max=6, fraction=0.5),
     )
     violations: list[dict] = []
-    fits = [fit for config in runs
-            for fit in _fits(config, violations, config.seeds, (config.fraction,))]
+    fits = [fit for config in runs for fit in _fits(config, violations, (config.fraction,))]
     unconverged = [dict(fit.columns, fraction=fit.fraction) for fit in fits if not fit.converged]
     return {"passed": not violations and not unconverged, "runs_checked": len(fits),
             "violations": violations, "unconverged": unconverged}

@@ -34,7 +34,6 @@ angle system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import NoneType
 
 import numpy as np
 
@@ -49,7 +48,6 @@ from .ansatz import (
 from .targets import TargetDistribution, target_angles
 
 __all__ = [
-    "OptimizeConfig",
     "OptimizeResult",
     "adjusted_target_angles",
     "objective",
@@ -75,39 +73,10 @@ _STEP_RESOLUTION = 4.0 * np.finfo(float).eps
 _DECREASE_TOLERANCE = 1e-12
 # Entries of S_seen the least-squares start and the Hessian touch at once.
 _BLOCK_ENTRIES = 1 << 18
-
-
-def check_field_types(obj, types: dict[str, tuple[type, ...]], error: type = TypeError) -> None:
-    """Raise ``error`` unless each named field (each item of a sequence
-    field) is an instance of one of its types.  A bool is not a number."""
-    for name, allowed in types.items():
-        value = getattr(obj, name)
-        for item in value if isinstance(value, (tuple, list)) else (value,):
-            if isinstance(item, bool) or not isinstance(item, allowed):
-                names = " or ".join(kind.__name__ for kind in allowed)
-                raise error(f"{name} must be {names}, got {item!r}")
-
-
-@dataclass(frozen=True)
-class OptimizeConfig:
-    """Knobs of the damped Newton search from ``least_squares_start``.
-
-    ``max_iterations`` (accepted Newton steps) of None means 500 * M.
-    ``gradient_tolerance`` bounds the distance's gradient norm at
-    convergence.
-    """
-
-    max_iterations: int | None = None
-    gradient_tolerance: float = 1e-8
-
-    def __post_init__(self) -> None:
-        check_field_types(self, {
-            "max_iterations": (int, NoneType), "gradient_tolerance": (int, float),
-        })
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.gradient_tolerance <= 0:
-            raise ValueError(f"gradient_tolerance must be > 0, got {self.gradient_tolerance}")
+# ``minimize`` stops after this many accepted Newton steps per parameter,
+# or once the distance's gradient norm falls below the tolerance.
+_ITERATIONS_PER_PARAM = 500
+_GRADIENT_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -319,19 +288,15 @@ def _newton_core(fun, x0: np.ndarray, stop, max_iterations: int):
     return x, f, g, iterations, converged
 
 
-def minimize(ansatz: Ansatz, target: TargetDistribution, config: OptimizeConfig | None = None) -> OptimizeResult:
+def minimize(ansatz: Ansatz, target: TargetDistribution) -> OptimizeResult:
     """Damped Newton on E from ``least_squares_start``.
 
-    The result is never farther than that start.  Deterministic given
-    (target, config).  Non-convergence is reported through the
-    ``converged`` flag, never raised.
+    The result is never farther than that start.  Deterministic given the
+    target.  Non-convergence is reported through the ``converged`` flag,
+    never raised.
     """
-    if config is None:
-        config = OptimizeConfig()
-    max_iterations = config.max_iterations or 500 * ansatz.param_count
     gap = _seen_overlap(ansatz, target)
     seen_signs, seen_goal = _seen_system(ansatz, target)
-    tolerance = config.gradient_tolerance
 
     def fun(params):
         value, grad, weights = gap(params, curvature=True)
@@ -339,18 +304,13 @@ def minimize(ansatz: Ansatz, target: TargetDistribution, config: OptimizeConfig 
 
     def stop(e_value: float, e_grad: np.ndarray) -> bool:
         distance = np.sqrt(e_value)
-        if distance < EXACT_FIT_DISTANCE:
-            return True
-        return float(np.linalg.norm(e_grad)) / (2.0 * distance) < tolerance
+        return distance < EXACT_FIT_DISTANCE or (
+            float(np.linalg.norm(e_grad)) / (2.0 * distance) < _GRADIENT_TOLERANCE)
 
     x0 = _least_squares(seen_signs, seen_goal)
-    x, e_value, _, iterations, converged = _newton_core(fun, x0, stop, max_iterations)
-    return OptimizeResult(
-        best_params=x,
-        final_distance=float(np.sqrt(e_value)),
-        iterations_used=iterations,
-        converged=converged,
-    )
+    x, e_value, _, iterations, converged = _newton_core(
+        fun, x0, stop, _ITERATIONS_PER_PARAM * ansatz.param_count)
+    return OptimizeResult(x, float(np.sqrt(e_value)), iterations, converged)
 
 
 def solve_exponential(target: TargetDistribution) -> np.ndarray:

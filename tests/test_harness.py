@@ -1,6 +1,9 @@
+import argparse
 import csv
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from qimpute.harness import (
     BOUND_SLACK,
     ConfigError,
     ExperimentConfig,
+    _Run,
     _validate_oracle,
     classify_outcomes,
     run_bp_stats,
@@ -23,20 +27,32 @@ from qimpute.harness import (
     run_validate,
     sample_outcomes,
 )
-from qimpute.optimize import EXACT_FIT_DISTANCE, OptimizeConfig
+from qimpute.optimize import EXACT_FIT_DISTANCE
 from qimpute.rng import stream
 from qimpute.targets import majority_target, mask_fraction, save_target_csv, gaussian_target
 
 
-# (experiment, config-file values whose types the config rejects)
-BADLY_TYPED_CONFIGS = (
-    ("fit", {"optimizer": "x"}),
-    ("entropy", {"optimizer": "x"}),
-    ("fit", {"optimizer": {"max_iterations": 2.5}}),
-    ("fit", {"n_min": 2.5, "n_max": 3}),
-    ("bp_stats", {"samples": 150.5}),
-    ("majority_ratios", {"outcomes": 2.5}),
-    ("fit", {"center": "a"}),
+# (experiment, config-file values the config rejects, part of the reason):
+# unknown keys, values of the wrong type, and fields the experiment does
+# not read set away from their defaults.
+REJECTED_CONFIGS = (
+    ("fit", {"optimizer": "x"}, "unknown config keys"),
+    ("entropy", {"optimizer": "x"}, "unknown config keys"),
+    ("fit", {"optimizer": {"max_iterations": 2.5}}, "unknown config keys"),
+    ("fit", {"n_min": 2.5, "n_max": 3}, "n_min must be int"),
+    ("bp_stats", {"samples": 150.5}, "samples must be int"),
+    ("majority_ratios", {"outcomes": 2.5}, "outcomes must be int"),
+    ("fit", {"center": "a"}, "center must be int or float"),
+    ("fit", {"seeds": [1, 2]}, "reads one seed"),
+    ("sweep", {"seeds": [1, 2]}, "reads one seed"),
+    ("sweep", {"fraction": 0.5}, "does not read fraction"),
+    ("fit", {"target": "majority", "center": 2}, "does not read center"),
+    ("bp_stats", {"target": "random", "target_csv": "t.csv"}, "does not read target_csv"),
+    ("entropy", {"target": "majority"}, "does not read target"),
+    ("generalize", {"fraction": 0.5}, "does not read fraction"),
+    ("generalize", {"fractions": []}, "at least one mask fraction"),
+    ("majority_ratios", {"target": "gaussian"}, "cannot run on target 'gaussian'"),
+    ("validate", {"n_min": 2}, "does not read n_min"),
 )
 
 
@@ -56,15 +72,6 @@ class TestConfig:
         )
         assert config.ansatz == ("linear",)
         assert config.seeds == (3,)
-
-    def test_optimizer_subdict(self):
-        config = ExperimentConfig.from_dict(
-            {"experiment": "fit", "optimizer": {"max_iterations": 40, "gradient_tolerance": 1e-6}}
-        )
-        assert config.optimizer == OptimizeConfig(max_iterations=40, gradient_tolerance=1e-6)
-        for bad in ({"max_iterations": 0}, {"restarts": 2}):
-            with pytest.raises(ConfigError):
-                ExperimentConfig.from_dict({"experiment": "fit", "optimizer": bad})
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -104,8 +111,8 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(
                 {"experiment": "sweep", "ansatz": ["quadratic"], "n_min": 17, "n_max": 17})
-        for experiment, bad in BADLY_TYPED_CONFIGS:
-            with pytest.raises(ConfigError):
+        for experiment, bad, reason in REJECTED_CONFIGS:
+            with pytest.raises(ConfigError, match=reason):
                 ExperimentConfig.from_dict({"experiment": experiment, **bad})
 
 
@@ -134,6 +141,16 @@ class TestFit:
         assert sidecar["experiment_id"] == output.experiment_id
         assert sidecar["config"]["target"] == "gaussian"
         assert sidecar["wall_time_s"] > 0
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("cell cannot be written")
+
+        run = _Run(ExperimentConfig(experiment="fit", out_dir=str(tmp_path)))
+        with pytest.raises(RuntimeError):
+            run.write([{"value": 1}] * 1000 + [{"value": Unprintable()}])
+        assert list(tmp_path.iterdir()) == []
 
     def test_rerun_byte_identical(self, tmp_path):
         config = ExperimentConfig(
@@ -297,7 +314,7 @@ class TestCli:
         half_seen = tmp_path / "half_seen.csv"
         save_target_csv(mask_fraction(gaussian_target(3), 0.5, seed=1), str(half_seen))
         config_argvs = []
-        for index, (experiment, bad) in enumerate(BADLY_TYPED_CONFIGS):
+        for index, (experiment, bad, _) in enumerate(REJECTED_CONFIGS):
             path = tmp_path / f"bad{index}.json"
             path.write_text(json.dumps(bad))
             config_argvs.append([experiment.replace("_", "-"), "--config", str(path)])
@@ -312,10 +329,14 @@ class TestCli:
             ["sweep", "--ansatz", "quadratic", "--n", "17"],
             ["fit", "--csv", str(half_seen), "--n", "3", "--fraction", "0.5", "--out", str(tmp_path)],
             ["fit", "--csv", str(half_seen), "--n", "3", "--fraction", "0.9", "--out", str(tmp_path)],
+            ["fit", "--seeds", "1,2"],
+            ["sweep", "--target", "majority", "--seeds", "1,2"],
+            ["fit", "--target", "majority", "--center", "2"],
             *config_argvs,
         ):
             assert main(argv) == 2
-            assert "config error" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "config error:" in err and "Traceback" not in err
 
     def test_subcommands_reject_flags_their_runner_ignores(self, capsys):
         for argv in (
@@ -341,13 +362,12 @@ class TestCli:
         target_path = tmp_path / "target.csv"
         save_target_csv(gaussian_target(2), str(target_path))
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"optimizer": {"max_iterations": 40}}))
+        config_path.write_text(json.dumps({"fraction": 0.25}))
         cases = {
-            "--config": (["fit", "--config", str(config_path)], "optimizer",
-                         OptimizeConfig(max_iterations=40)),
+            "--config": (["fit", "--config", str(config_path)], "fraction", 0.25),
             "--out": (["fit", "--out", "somewhere"], "out_dir", "somewhere"),
             "--seed": (["fit", "--seed", "7"], "seeds", (7,)),
-            "--seeds": (["sweep", "--seeds", "3,1,2"], "seeds", (3, 1, 2)),
+            "--seeds": (["sweep", "--target", "random", "--seeds", "3,1,2"], "seeds", (3, 1, 2)),
             "--ansatz": (["fit", "--ansatz", "linear,quadratic"], "ansatz", ("linear", "quadratic")),
             "--n": (["fit", "--n", "4"], "n_max", 4),
             "--n-min": (["sweep", "--n-min", "3"], "n_min", 3),
@@ -375,6 +395,28 @@ class TestCli:
             main(["fit", "--seeds", "a,b"])
         assert exit_info.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_one_seed_gets_one_id(self, tmp_path, capsys):
+        for index, argv in enumerate((["--seed", "1"], ["--seeds", "1"])):
+            assert main(["fit", *argv, "--out", str(tmp_path / str(index))]) == 0
+        first, second = (list((tmp_path / str(i)).glob("fit-*.csv")) for i in (0, 1))
+        assert [path.name for path in first] == [path.name for path in second]
+
+    def test_readme_flag_table_matches_parser(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        documented = {
+            name: [] if flags == "none" else flags.strip("`").split()
+            for name, flags in re.findall(r"^\| `([a-z-]+)` \| (.+?) \|$", readme, re.MULTILINE)
+        }
+        parser = _build_parser()
+        (subcommands,) = (action for action in parser._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        accepted = {
+            name: [flag for action in cmd._actions for flag in action.option_strings
+                   if flag not in ("-h", "--help", "--config", "--out")]
+            for name, cmd in subcommands.choices.items()
+        }
+        assert documented == accepted
 
     def test_fit_run(self, tmp_path, capsys):
         code = main([

@@ -5,7 +5,6 @@ from qimpute import optimize
 from qimpute.ansatz import Ansatz, conditional_output, effective_angles, sign_matrix
 from qimpute.metrics import restricted_distance, state_distance, worst_case_bound
 from qimpute.optimize import (
-    OptimizeConfig,
     _newton_core,
     adjusted_target_angles,
     finite_difference_gradient,
@@ -283,18 +282,6 @@ class TestMinimize:
         target = random_target(3, seed=8)
         result = minimize(Ansatz.linear(3), target)
         assert 0.0 <= result.final_distance <= 1.0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OptimizeConfig(gradient_tolerance=0.0)
-        with pytest.raises(ValueError):
-            OptimizeConfig(max_iterations=0)
-        with pytest.raises(TypeError):
-            OptimizeConfig(max_iterations=2.5)
-        # the optimizer has one deterministic start and no restart knobs
-        for removed in ("restarts", "seed", "init_scheme"):
-            with pytest.raises(TypeError):
-                OptimizeConfig(**{removed: 1})
 
 
 class TestSolveExponential:
