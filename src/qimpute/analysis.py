@@ -8,17 +8,22 @@ reduced state of the output qubit whose von Neumann entropy (base 2, so
 the single-qubit maximum is 1) measures how entangled the output is with
 the inputs; averaging it over random parameters tracks the same
 saturation and is fit with a pinned-base exponential approach to 1.
+
+Both Monte Carlo statistics draw and evaluate their samples one
+``ansatz._row_blocks`` block at a time, so besides S they hold one block
+and one float per sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .ansatz import Ansatz, _block_amplitudes, conditional_output, flip_bits, sign_matrix
-from .optimize import _newton_core, _overlap_gap, adjusted_target_angles
+from .ansatz import (
+    Ansatz, _block_amplitudes, _row_blocks, conditional_output, flip_bits, sign_matrix)
+from .optimize import _newton_core, _overlap_gap, _seen_system
 from .rng import stream
 from .targets import TargetDistribution
 
@@ -35,11 +40,6 @@ __all__ = [
 ]
 
 MIN_SAMPLE_COUNT = 100
-
-# Entries of the samples x 2^N angle block held at once: the Monte Carlo
-# statistics work through their samples in row chunks of this size, so
-# their memory does not grow with the sample count.
-_SAMPLE_CHUNK_ENTRIES = 1 << 20
 
 # The saturation model depends on its base a and rate b only through
 # b*ln(a), so the base is pinned by convention and only the rate and
@@ -77,16 +77,6 @@ class ExpFit:
     degenerate: bool
 
 
-def _sample_chunks(sample_count: int, n_inputs: int) -> Iterator[slice]:
-    """Consecutive row slices of the samples, each within the chunk budget.
-
-    A row holds 2^N angles; every slice has at least one row.
-    """
-    step = max(1, _SAMPLE_CHUNK_ENTRIES >> n_inputs)
-    for start in range(0, sample_count, step):
-        yield slice(start, min(start + step, sample_count))
-
-
 def gradient_statistics(
     ansatz: Ansatz,
     target: TargetDistribution,
@@ -100,20 +90,18 @@ def gradient_statistics(
     used consistently across sweeps so that curves are comparable;
     ``param_index`` exists for spot checks against other components.
     Each sample is dE/dp / (2 sqrt(E)) from ``_overlap_gap`` on its row
-    chunk, as ``optimize.gradient`` computes it for one draw.
+    block, as ``optimize.gradient`` computes it for one draw.
     """
     if sample_count < MIN_SAMPLE_COUNT:
         raise ValueError(f"sample_count must be >= {MIN_SAMPLE_COUNT}, got {sample_count}")
     if not 0 <= param_index < ansatz.param_count:
         raise ValueError(f"param_index {param_index} outside 0..{ansatz.param_count - 1}")
-    seen = target.seen_mask
-    seen_goal = adjusted_target_angles(ansatz, target)[seen]
+    seen_signs, seen_goal = _seen_system(ansatz, target)
     rng = stream(seed, "gradient-stats")
-    seen_signs = sign_matrix(ansatz)[seen]
-    draws = rng.uniform(0.0, 2.0 * np.pi, size=(sample_count, ansatz.param_count))
     grads = np.empty(sample_count)
-    for rows in _sample_chunks(sample_count, ansatz.n_inputs):
-        residual = draws[rows] @ seen_signs.T
+    for rows in _row_blocks(sample_count, 1 << ansatz.n_inputs):
+        draws = rng.uniform(0.0, 2.0 * np.pi, size=(rows.stop - rows.start, ansatz.param_count))
+        residual = draws @ seen_signs.T
         residual -= seen_goal
         gap, d_gap = _overlap_gap(residual)
         grads[rows] = d_gap @ seen_signs[:, param_index] / (2.0 * np.sqrt(gap))
@@ -176,11 +164,11 @@ def mean_entropy(ansatz: Ansatz, sample_count: int = 1000, seed: int = 0) -> Ent
     if sample_count < MIN_SAMPLE_COUNT:
         raise ValueError(f"sample_count must be >= {MIN_SAMPLE_COUNT}, got {sample_count}")
     rng = stream(seed, "entropy-stats")
-    draws = rng.uniform(0.0, 2.0 * np.pi, size=(sample_count, ansatz.param_count))
     signs, flips = sign_matrix(ansatz), flip_bits(ansatz)
     entropies = np.empty(sample_count)
-    for rows in _sample_chunks(sample_count, ansatz.n_inputs):
-        entropies[rows] = _entropy(*_block_amplitudes(draws[rows] @ signs.T, flips))
+    for rows in _row_blocks(sample_count, 1 << ansatz.n_inputs):
+        draws = rng.uniform(0.0, 2.0 * np.pi, size=(rows.stop - rows.start, ansatz.param_count))
+        entropies[rows] = _entropy(*_block_amplitudes(draws @ signs.T, flips))
     return EntropyStats(
         n_inputs=ansatz.n_inputs,
         n_params=ansatz.param_count,

@@ -44,11 +44,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
 __all__ = [
     "ANSATZ_KINDS",
+    "MAX_ENTRIES",
     "Ansatz",
     "ConditionalOutput",
     "param_count",
@@ -63,8 +65,12 @@ __all__ = [
 
 ANSATZ_KINDS = ("linear", "quadratic", "exponential")
 
-# Guard for materializing sign matrices: 2**N * M entries.
-_SIGN_MATRIX_MAX_ENTRIES = 1 << 24
+# The memory policy.  No array whose size a config sets holds more than
+# MAX_ENTRIES entries (128 MiB of float64): the sign matrix S, the
+# per-sample statistics and the drawn outcomes.  Work over the rows of such
+# an array runs in blocks of at most _BLOCK_ENTRIES entries (``_row_blocks``).
+MAX_ENTRIES = 1 << 24
+_BLOCK_ENTRIES = 1 << 18
 
 
 def param_count(kind: str, n_inputs: int) -> int:
@@ -80,12 +86,22 @@ def param_count(kind: str, n_inputs: int) -> int:
     raise ValueError(f"unknown ansatz kind {kind!r}")
 
 
-def check_sign_matrix_size(kind: str, n_inputs: int, n_params: int) -> None:
-    """Refuse (ValueError) a 2^N x M sign matrix above
-    ``_SIGN_MATRIX_MAX_ENTRIES`` entries."""
-    if (1 << n_inputs) * n_params > _SIGN_MATRIX_MAX_ENTRIES:
+def check_sign_matrix_size(kind: str, n_inputs: int, n_params: int | None = None) -> None:
+    """Refuse (ValueError) a 2^N x M sign matrix above ``MAX_ENTRIES`` entries;
+    M defaults to the named family's.  A width above log2(MAX_ENTRIES) is
+    refused before 2^N or M is formed, so even a huge one fails at once."""
+    too_wide = n_inputs >= MAX_ENTRIES.bit_length()
+    if too_wide or (1 << n_inputs) * (n_params or param_count(kind, n_inputs)) > MAX_ENTRIES:
         raise ValueError(f"{kind} width {n_inputs} needs a sign matrix above "
-                         f"{_SIGN_MATRIX_MAX_ENTRIES} entries")
+                         f"{MAX_ENTRIES} entries")
+
+
+def _row_blocks(n_rows: int, row_entries: int) -> Iterator[slice]:
+    """Consecutive row slices of an array whose rows hold ``row_entries``
+    entries: as many rows as fit in ``_BLOCK_ENTRIES`` entries, at least one."""
+    step = max(1, _BLOCK_ENTRIES // row_entries)
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
 
 
 def _single_controls(n_inputs: int) -> list[tuple[int, ...]]:
@@ -293,8 +309,8 @@ def statevector(ansatz: Ansatz, params) -> np.ndarray:
     """Full amplitude vector of length 2^(N+1) over basis states |b>|a>.
 
     The input register is weighted uniformly (Hadamard preparation), so the
-    amplitude at index 2*b + a is amp_a(b) / sqrt(2^N).  From N = 20 the
-    sign-matrix guard raises ValueError before anything is allocated.
+    amplitude at index 2*b + a is amp_a(b) / sqrt(2^N).  A width whose sign
+    matrix exceeds ``MAX_ENTRIES`` raises ValueError before anything is allocated.
     """
     out = conditional_output(ansatz, params)
     n_states = out.amp0.size

@@ -49,11 +49,11 @@ from .analysis import (
 )
 from .ansatz import (
     ANSATZ_KINDS,
+    MAX_ENTRIES,
     Ansatz,
     ConditionalOutput,
     check_sign_matrix_size,
     conditional_output,
-    param_count,
     statevector,
 )
 from .metrics import restricted_distance, worst_case_bound
@@ -98,8 +98,6 @@ __all__ = [
 
 OUTPUT_DIR_ENV = "QIMPUTE_OUT_DIR"
 BOUND_SLACK = 1e-9
-# Widest input register a config may ask for.
-MAX_INPUT_WIDTH = 20
 
 _TARGET_KINDS = ("gaussian", "majority", "random", "csv")
 _GRID = ("ansatz", "n_min", "n_max", "seeds")
@@ -200,10 +198,6 @@ class ExperimentConfig:
             raise ConfigError(f"target CSV not found: {self.target_csv}")
         if not 1 <= self.n_min <= self.n_max:
             raise ConfigError(f"bad input-width range {self.n_min}..{self.n_max}")
-        if self.n_max > MAX_INPUT_WIDTH:
-            raise ConfigError(
-                f"input width {self.n_max} exceeds the analytic-path cap {MAX_INPUT_WIDTH}"
-            )
         for f in (self.fraction, *self.fractions):
             if not 0.0 <= f < 1.0:
                 raise ConfigError(f"mask fractions must lie in [0, 1), got {f}")
@@ -211,20 +205,21 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if any(s < 0 for s in self.seeds):
             raise ConfigError("seeds must be nonnegative")
-        if self.outcomes < 1:
-            raise ConfigError(f"outcomes must be >= 1, got {self.outcomes}")
-        if self.samples < MIN_SAMPLE_COUNT:
-            raise ConfigError(f"samples must be >= {MIN_SAMPLE_COUNT}, got {self.samples}")
-        if self.m_sweep_n is not None and not 1 <= self.m_sweep_n <= MAX_INPUT_WIDTH:
-            raise ConfigError(f"m_sweep_n must lie in 1..{MAX_INPUT_WIDTH}, got {self.m_sweep_n}")
-        # Every family at every width runs on its cached dense sign matrix,
-        # bp_stats also for its gate-count sweep.
+        # No array the config sizes may exceed MAX_ENTRIES: the outcomes, the per-sample
+        # statistics, and each family's sign matrix (quadratic's at m_sweep_n too).
+        if not 1 <= self.outcomes <= MAX_ENTRIES:
+            raise ConfigError(f"outcomes must lie in 1..{MAX_ENTRIES}, got {self.outcomes}")
+        if not MIN_SAMPLE_COUNT <= self.samples <= MAX_ENTRIES:
+            raise ConfigError(f"samples must lie in {MIN_SAMPLE_COUNT}..{MAX_ENTRIES}, "
+                              f"got {self.samples}")
+        if self.m_sweep_n is not None and self.m_sweep_n < 1:
+            raise ConfigError(f"m_sweep_n must be >= 1, got {self.m_sweep_n}")
         shapes = [(kind, self.n_max) for kind in self.ansatz]
         if self.m_sweep_n is not None:
             shapes.append(("quadratic", self.m_sweep_n))
         for kind, n in shapes:
             try:
-                check_sign_matrix_size(kind, n, param_count(kind, n))
+                check_sign_matrix_size(kind, n)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
 
@@ -373,13 +368,18 @@ class _Run:
 
 
 def _build_target(config: ExperimentConfig, n_inputs: int, seed: int) -> TargetDistribution:
-    if config.target == "gaussian":
-        return gaussian_target(n_inputs, center=config.center, sigma=config.sigma)
-    if config.target == "majority":
-        return majority_target(n_inputs)
-    if config.target == "random":
-        return random_target(n_inputs, seed)
-    target = load_target_csv(config.target_csv)
+    """The run's target at one width; a target that cannot be built (a bad
+    gaussian override, an unreadable or malformed CSV) is a ConfigError."""
+    try:
+        if config.target == "gaussian":
+            return gaussian_target(n_inputs, center=config.center, sigma=config.sigma)
+        if config.target == "majority":
+            return majority_target(n_inputs)
+        if config.target == "random":
+            return random_target(n_inputs, seed)
+        target = load_target_csv(config.target_csv)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
     if target.n_inputs != n_inputs:
         raise ConfigError(
             f"target CSV has {target.n_inputs} input bits but the run asks for {n_inputs}"

@@ -23,7 +23,7 @@ step a decrease.  E shares minimizers with sqrt(E) but has no
 square-root cone at exact fits, so Newton converges quadratically to
 them as well.  All reported distances and the public ``gradient`` use
 the square root.  The start and the Hessian read the seen rows of S in
-blocks of bounded size, so a fit holds no copy of S beyond its seen rows,
+``ansatz._row_blocks``, so a fit holds no copy of S beyond its seen rows,
 and none when every input is seen.
 
 For the exponential family the sign matrix is square and invertible, so
@@ -40,6 +40,7 @@ import numpy as np
 from .ansatz import (
     Ansatz,
     _check_params,
+    _row_blocks,
     effective_angles,
     flip_bits,
     project_signs,
@@ -71,8 +72,6 @@ _SHIFT_GROWTH = 10.0
 # max(1, |x|)) or predicts a relative decrease of f below the tolerance.
 _STEP_RESOLUTION = 4.0 * np.finfo(float).eps
 _DECREASE_TOLERANCE = 1e-12
-# Entries of S_seen the least-squares start and the Hessian touch at once.
-_BLOCK_ENTRIES = 1 << 18
 # ``minimize`` stops after this many accepted Newton steps per parameter,
 # or once the distance's gradient norm falls below the tolerance.
 _ITERATIONS_PER_PARAM = 500
@@ -171,13 +170,6 @@ def gradient(ansatz: Ansatz, params, target: TargetDistribution) -> np.ndarray:
             "and the point should be treated as converged"
         )
     return e_grad / (2.0 * distance)
-
-
-def _row_blocks(n_rows: int, n_cols: int):
-    """Consecutive row slices of at most ``_BLOCK_ENTRIES`` entries (at
-    least one row each) of an n_rows x n_cols matrix."""
-    step = max(1, _BLOCK_ENTRIES // n_cols)
-    return (slice(start, start + step) for start in range(0, n_rows, step))
 
 
 def _seen_system(ansatz: Ansatz, target: TargetDistribution) -> tuple[np.ndarray, np.ndarray]:

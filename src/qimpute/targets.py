@@ -51,7 +51,7 @@ class TargetDistribution:
             raise ValueError(f"probs must have shape ({n_states}, 2), got {self.probs.shape}")
         if self.seen_mask.shape != (n_states,):
             raise ValueError(f"seen_mask must have shape ({n_states},)")
-        if np.any(self.probs < 0):
+        if not np.all(self.probs >= 0):  # NaN fails too
             raise ValueError("probabilities must be nonnegative")
         if np.any(self.probs[~self.seen_mask] != 0):
             raise ValueError("unseen inputs must carry zero mass")
@@ -96,7 +96,7 @@ class TargetDistribution:
         n_inputs = int(cond.shape[0]).bit_length() - 1
         if (1 << n_inputs) != cond.shape[0]:
             raise ValueError(f"row count {cond.shape[0]} is not a power of two")
-        if np.any(cond < 0):
+        if not np.all(cond >= 0):  # NaN fails too
             raise ValueError("conditional weights must be nonnegative")
         if seen_mask is None:
             seen_mask = np.ones(cond.shape[0], dtype=bool)
@@ -141,15 +141,18 @@ def gaussian_target(n_inputs: int, center: float | None = None, sigma: float | N
     """Bell-shaped conditional: p(0|n) peaks at ``center`` and p(1|n) is its complement.
 
     Defaults follow the narrow literal form: center (N-1)/2 and variance 1/2,
-    with peak weight 1/sqrt(2*pi).  Both are overridable.
+    with peak weight 1/sqrt(2*pi).  Both are overridable, the center with a
+    finite value and sigma with a positive one.
     """
     if n_inputs < 1:
         raise ValueError(f"n_inputs must be >= 1, got {n_inputs}")
     if center is None:
         center = (n_inputs - 1) / 2.0
-    variance = 0.5 if sigma is None else float(sigma) ** 2
-    if variance <= 0:
+    if not np.isfinite(center):
+        raise ValueError(f"center must be finite, got {center}")
+    if sigma is not None and not sigma > 0:  # NaN fails too
         raise ValueError(f"sigma must be positive, got {sigma}")
+    variance = 0.5 if sigma is None else float(sigma) ** 2
     n = np.arange(1 << n_inputs, dtype=float)
     w0 = np.exp(-((n - center) ** 2) / (2.0 * variance)) / np.sqrt(2.0 * np.pi)
     cond = np.stack([w0, 1.0 - w0], axis=1)

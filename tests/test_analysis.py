@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import qimpute.analysis
+import qimpute.ansatz
 from qimpute.analysis import (
     _block_amplitudes,
     _entropy,
@@ -138,8 +138,8 @@ def one_block_statistics(ansatz, target, sample_count, seed):
 
 @pytest.mark.parametrize("budget", [1, 7 * 32, 1 << 20])
 def test_chunked_statistics_match_one_block(monkeypatch, budget):
-    # 150 samples at N=5: one row per chunk, 22 chunks of up to 7 rows, one chunk
-    monkeypatch.setattr(qimpute.analysis, "_SAMPLE_CHUNK_ENTRIES", budget)
+    # 150 samples at N=5: one row per block, 22 blocks of up to 7 rows, one block
+    monkeypatch.setattr(qimpute.ansatz, "_BLOCK_ENTRIES", budget)
     ansatz = Ansatz.quadratic(5)
     target = mask_fraction(random_target(5, seed=1), 0.3, seed=2)
     grad_stats = gradient_statistics(ansatz, target, sample_count=150, seed=4)

@@ -46,12 +46,13 @@ def test_every_traced_layer_name_is_bound(tracing):
 
 
 def test_traced_fit_reports_sign_map_times(tracing, tmp_path):
+    # The config's checks run in no layer span, so they stay outside the op.
+    config = ExperimentConfig("fit", n_min=3, n_max=3, out_dir=str(tmp_path))
     tracer = tracing.Tracer()
     tracer.install()
     try:
         with tracer.root("op"):
-            qimpute.harness.run_experiment(
-                ExperimentConfig("fit", n_min=3, n_max=3, out_dir=str(tmp_path)))
+            qimpute.harness.run_experiment(config)
     finally:
         tracer.uninstall()
     self_s = tracer.self_times()

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qimpute.ansatz import Ansatz, conditional_output, statevector
+from qimpute.ansatz import MAX_ENTRIES, Ansatz, conditional_output, statevector
 from qimpute.cli import _FLAGS, _build_parser, _resolve_config, main
 from qimpute.harness import (
     BOUND_SLACK,
@@ -95,6 +95,16 @@ class TestConfig:
                 ExperimentConfig.from_dict({"experiment": "bp_stats", "m_sweep_n": width})
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"experiment": "bp_stats", "m_sweep_n": 17})
+        # Every array a config sizes stays within MAX_ENTRIES; a huge width
+        # is refused before 2^N is formed.
+        too_many = [{"experiment": experiment, field: count}
+                    for experiment, field in (("bp_stats", "samples"), ("entropy", "samples"),
+                                              ("majority_ratios", "outcomes"))
+                    for count in (MAX_ENTRIES + 1, 10**12)]
+        for bad in ({"experiment": "fit", "n_min": 10**9, "n_max": 10**9},
+                    {"experiment": "bp_stats", "m_sweep_n": 10**9}, *too_many):
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_dict(bad)
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(
                 {"experiment": "bp_stats", "ansatz": ["quadratic"], "n_min": 17, "n_max": 17})
@@ -313,6 +323,8 @@ class TestCli:
         # A CSV target that holds 4 of its 8 inputs.
         half_seen = tmp_path / "half_seen.csv"
         save_target_csv(mask_fraction(gaussian_target(3), 0.5, seed=1), str(half_seen))
+        bad_bits = tmp_path / "bad_bits.csv"
+        bad_bits.write_text("bitstring,output_bit,weight\n01x,0,1.0\n")
         config_argvs = []
         for index, (experiment, bad, _) in enumerate(REJECTED_CONFIGS):
             path = tmp_path / f"bad{index}.json"
@@ -332,6 +344,20 @@ class TestCli:
             ["fit", "--seeds", "1,2"],
             ["sweep", "--target", "majority", "--seeds", "1,2"],
             ["fit", "--target", "majority", "--center", "2"],
+            ["fit", "--sigma", "0"],
+            ["bp-stats", "--sigma", "0"],
+            ["fit", "--sigma", "-1"],
+            ["fit", "--sigma", "nan"],
+            ["fit", "--center", "nan"],
+            ["fit", "--csv", os.devnull],
+            ["fit", "--csv", str(bad_bits)],
+            ["fit", "--n", "1000000000"],
+            ["bp-stats", "--m-sweep-n", "1000000000"],
+            # Counts far above the cap (TestConfig covers MAX_ENTRIES + 1), so
+            # that no run could allocate them even without the check.
+            ["bp-stats", "--samples", str(10**12)],
+            ["entropy", "--samples", str(10**12)],
+            ["majority-ratios", "--outcomes", str(10**12)],
             *config_argvs,
         ):
             assert main(argv) == 2
@@ -401,6 +427,18 @@ class TestCli:
             assert main(["fit", *argv, "--out", str(tmp_path / str(index))]) == 0
         first, second = (list((tmp_path / str(i)).glob("fit-*.csv")) for i in (0, 1))
         assert [path.name for path in first] == [path.name for path in second]
+
+    def test_readme_memory_budget_matches_check(self):
+        readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+        (cap,) = re.findall(r"holds more than 2\^(\d+) entries", readme)
+        (counts,) = re.findall(r"`--outcomes` may not exceed (\d+)", readme)
+        assert 1 << int(cap) == int(counts) == MAX_ENTRIES
+        (widths,) = re.findall(r"first refused widths are linear N=(\d+), "
+                               r"quadratic N=(\d+) and exponential N=(\d+)", readme)
+        for kind, n in zip(("linear", "quadratic", "exponential"), map(int, widths)):
+            ExperimentConfig("fit", ansatz=(kind,), n_min=n - 1, n_max=n - 1)
+            with pytest.raises(ConfigError):
+                ExperimentConfig("fit", ansatz=(kind,), n_min=n, n_max=n)
 
     def test_readme_flag_table_matches_parser(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qimpute.ansatz
 from qimpute import optimize
 from qimpute.ansatz import Ansatz, conditional_output, effective_angles, sign_matrix
 from qimpute.metrics import restricted_distance, state_distance, worst_case_bound
@@ -244,7 +245,7 @@ class TestLeastSquaresStart:
         seen = target.seen_mask
         goal = adjusted_target_angles(ansatz, target)[seen]
         expected = np.linalg.lstsq(sign_matrix(ansatz)[seen], goal)[0]
-        monkeypatch.setattr(optimize, "_BLOCK_ENTRIES", 2 * ansatz.param_count)
+        monkeypatch.setattr(qimpute.ansatz, "_BLOCK_ENTRIES", 2 * ansatz.param_count)
         assert np.max(np.abs(least_squares_start(ansatz, target) - expected)) < 1e-12
         signs = sign_matrix(ansatz)[seen]
         weights = np.cos(np.arange(seen.sum()))

@@ -46,8 +46,10 @@ class TestGaussian:
         cond = target.conditionals()
         assert cond[4, 0] == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-12)
         assert cond[2, 0] == pytest.approx(cond[6, 0], abs=1e-12)
-        with pytest.raises(ValueError):
-            gaussian_target(3, sigma=0.0)
+        for bad in ({"sigma": 0.0}, {"sigma": -1.0}, {"sigma": math.nan},
+                    {"center": math.nan}, {"center": math.inf}):
+            with pytest.raises(ValueError):
+                gaussian_target(3, **bad)
         with pytest.raises(ValueError):
             gaussian_target(0)
 
@@ -223,3 +225,8 @@ def test_invariants_enforced_on_construction():
         )
     with pytest.raises(ValueError):
         TargetDistribution(1, np.array([[1.5, -0.5], [0.0, 0.0]]), np.array([True, False]))
+    # NaN passes every comparison-based check unless the check requires >= 0.
+    with pytest.raises(ValueError):
+        TargetDistribution(1, np.array([[np.nan, 0.5], [0.0, 0.5]]), np.array([True, True]))
+    with pytest.raises(ValueError):
+        TargetDistribution.from_conditionals(np.array([[np.nan, 0.5], [0.5, 0.5]]))
