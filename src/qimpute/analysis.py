@@ -6,8 +6,11 @@ variance shrinking exponentially with the input width is the flat-plateau
 signature.  The entropy side traces out the input register, leaving a 2x2
 reduced state of the output qubit whose von Neumann entropy (base 2, so
 the single-qubit maximum is 1) measures how entangled the output is with
-the inputs; averaging it over random parameters tracks the same
-saturation and is fit with a pinned-base exponential approach to 1.
+the inputs.  That state depends on the block angles only through two
+Bloch sums, mean sigma_b cos 2 theta_b and mean sin 2 theta_b, so no
+per-input amplitudes are formed.  Averaging the entropy over random
+parameters tracks the same saturation and is fit with a pinned-base
+exponential approach to 1.
 
 Both Monte Carlo statistics draw and evaluate their samples one
 ``ansatz._row_blocks`` block at a time, so besides S they hold one block
@@ -21,8 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ansatz import (
-    Ansatz, _block_amplitudes, _row_blocks, conditional_output, flip_bits, sign_matrix)
+from .ansatz import Ansatz, _row_blocks, effective_angles, flip_bits, sign_matrix
 from .optimize import _newton_core, _overlap_gap, _seen_system
 from .rng import stream
 from .targets import TargetDistribution
@@ -136,17 +138,17 @@ def gradient_statistics_vs_m(
     ]
 
 
-def _entropy(amp0: np.ndarray, amp1: np.ndarray) -> np.ndarray:
-    """Base-2 entropy of the output qubit given its per-input amplitudes.
+def _entropy(theta: np.ndarray, flipped: np.ndarray) -> np.ndarray:
+    """Base-2 entropy of the output qubit from its block angles and flip bits.
 
-    The reduced state under a uniform input register is the average, along
-    the last axis, of the per-input rank-1 projectors onto (amp0, amp1);
-    its two eigenvalues are 1/2 +- the Bloch radius in the (z, x) plane.
+    Under a uniform input register the reduced state has Bloch vector
+    (B, 0, A) with A = mean sigma_b cos 2 theta_b, sigma_b = -1 on flipped
+    blocks, and B = mean sin 2 theta_b; its eigenvalues are (1 +- r) / 2
+    with r = hypot(A, B).  ``theta`` may carry leading batch axes.
     """
-    r00 = (amp0 ** 2).mean(axis=-1)
-    r11 = (amp1 ** 2).mean(axis=-1)
-    r01 = (amp0 * amp1).mean(axis=-1)
-    split = np.sqrt(((r00 - r11) / 2.0) ** 2 + r01 ** 2)
+    sigma = np.where(flipped, -1.0, 1.0) / theta.shape[-1]
+    double = 2.0 * theta
+    split = np.hypot(np.cos(double) @ sigma, np.sin(double).mean(axis=-1)) / 2.0
     lams = np.stack([0.5 + split, 0.5 - split], axis=-1)
     lams = np.clip(lams, 0.0, 1.0)
     terms = np.where(lams > 0, -lams * np.log2(np.where(lams > 0, lams, 1.0)), 0.0)
@@ -155,8 +157,7 @@ def _entropy(amp0: np.ndarray, amp1: np.ndarray) -> np.ndarray:
 
 def target_entropy(ansatz: Ansatz, params) -> float:
     """Base-2 entropy of the output qubit's reduced state."""
-    out = conditional_output(ansatz, params)
-    return float(_entropy(out.amp0, out.amp1))
+    return float(_entropy(*effective_angles(ansatz, params)))
 
 
 def mean_entropy(ansatz: Ansatz, sample_count: int = 1000, seed: int = 0) -> EntropyStats:
@@ -168,7 +169,7 @@ def mean_entropy(ansatz: Ansatz, sample_count: int = 1000, seed: int = 0) -> Ent
     entropies = np.empty(sample_count)
     for rows in _row_blocks(sample_count, 1 << ansatz.n_inputs):
         draws = rng.uniform(0.0, 2.0 * np.pi, size=(rows.stop - rows.start, ansatz.param_count))
-        entropies[rows] = _entropy(*_block_amplitudes(draws @ signs.T, flips))
+        entropies[rows] = _entropy(draws @ signs.T, flips)
     return EntropyStats(
         n_inputs=ansatz.n_inputs,
         n_params=ansatz.param_count,

@@ -144,11 +144,6 @@ class Ansatz:
     def param_count(self) -> int:
         return len(self.controls) + 1
 
-    @property
-    def index_map(self) -> tuple[tuple[int, ...], ...]:
-        """Parameter slot -> control tuple; slot 0 is the bare rotation."""
-        return ((),) + self.controls
-
     @cached_property
     def control_masks(self) -> tuple[int, ...]:
         """Integer bit mask of each gate's controls; b_i sits at bit N - i."""
@@ -280,29 +275,17 @@ class ConditionalOutput:
     amp0: np.ndarray
     amp1: np.ndarray
 
-    @property
-    def n_inputs(self) -> int:
-        return int(self.amp0.size).bit_length() - 1
-
     def joint_probabilities(self) -> np.ndarray:
         """Joint (input, output-bit) probabilities, shape (2^N, 2), sum 1."""
         n_states = self.amp0.size
         return np.stack([self.amp0 ** 2, self.amp1 ** 2], axis=1) / n_states
 
 
-def _block_amplitudes(theta: np.ndarray, flipped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every block applied to |0>: (cos, sin) of theta, swapped where flipped.
-
-    ``theta`` may carry leading batch axes; ``flipped`` broadcasts over them.
-    """
-    c, s = np.cos(theta), np.sin(theta)
-    return np.where(flipped, s, c), np.where(flipped, c, s)
-
-
 def conditional_output(ansatz: Ansatz, params) -> ConditionalOutput:
-    """Evaluate every block on |0>."""
-    amp0, amp1 = _block_amplitudes(*effective_angles(ansatz, params))
-    return ConditionalOutput(amp0=amp0, amp1=amp1)
+    """Evaluate every block on |0>: (cos, sin) of theta, swapped where flipped."""
+    theta, flipped = effective_angles(ansatz, params)
+    c, s = np.cos(theta), np.sin(theta)
+    return ConditionalOutput(amp0=np.where(flipped, s, c), amp1=np.where(flipped, c, s))
 
 
 def statevector(ansatz: Ansatz, params) -> np.ndarray:

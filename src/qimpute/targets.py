@@ -1,20 +1,21 @@
-"""Target joint distributions over (input bitstring, output bit).
+"""Target distributions: per-input conditionals p(a|b) plus a seen mask.
 
-A target stores true joint probabilities: the input marginal is uniform
-over the seen inputs and the per-input conditionals carry the shape, so
-the joint of a fully seen target is conditional / 2^N.  Masked (unseen)
-inputs carry exactly zero mass and the rest is renormalized, which keeps
-the seen conditionals untouched.
+A target stores only its conditionals and which inputs are seen.  The
+joint p(b, a) it stands for is derived: the input marginal is uniform over
+the seen inputs, so the joint is conditional / (number of seen inputs).
+Masked (unseen) inputs have zero conditional rows and so zero joint mass,
+and masking leaves the seen conditionals untouched bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .ansatz import MAX_ENTRIES
 from .rng import stream
 
 __all__ = [
@@ -33,71 +34,56 @@ _SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TargetDistribution:
-    """Joint distribution p(b, a) with a seen/unseen input mask.
+    """Conditionals p(a|b) of shape (2^N, 2) and a seen/unseen input mask.
 
-    probs has shape (2^N, 2) and sums to 1; rows of unseen inputs are zero.
-    The conditionals are stored alongside the joint so that masking hands
-    them through bit for bit instead of re-deriving them by division.
+    Seen rows of ``cond`` sum to 1 and unseen rows are zero; at least one
+    input is seen.  The joint ``probs`` follows from these and is derived
+    on first use.
     """
 
-    n_inputs: int
-    probs: np.ndarray
+    cond: np.ndarray
     seen_mask: np.ndarray
-    cond: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        n_states = 1 << self.n_inputs
-        if self.probs.shape != (n_states, 2):
-            raise ValueError(f"probs must have shape ({n_states}, 2), got {self.probs.shape}")
-        if self.seen_mask.shape != (n_states,):
-            raise ValueError(f"seen_mask must have shape ({n_states},)")
-        if not np.all(self.probs >= 0):  # NaN fails too
-            raise ValueError("probabilities must be nonnegative")
-        if np.any(self.probs[~self.seen_mask] != 0):
-            raise ValueError("unseen inputs must carry zero mass")
-        total = self.probs.sum()
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"joint mass {total} is not normalized")
-        if self.cond is None:
-            row_sums = self.probs.sum(axis=1, keepdims=True)
-            safe = np.where(row_sums > 0, row_sums, 1.0)
-            object.__setattr__(self, "cond", self.probs / safe)
-        else:
-            if self.cond.shape != (n_states, 2):
-                raise ValueError(f"cond must have shape ({n_states}, 2)")
-            row_sums = self.cond.sum(axis=1)
-            if np.any(np.abs(row_sums[self.seen_mask] - 1.0) > _SUM_TOL):
-                raise ValueError("seen conditional rows must sum to 1")
-            if np.any(self.cond[~self.seen_mask] != 0):
-                raise ValueError("unseen conditional rows must be zero")
+        shape = self.cond.shape
+        n_states = shape[0] if len(shape) == 2 and shape[1] == 2 else 0
+        if n_states < 2 or n_states & (n_states - 1):
+            raise ValueError(f"conditionals must have shape (2^N, 2) with N >= 1, got {shape}")
+        if self.seen_mask.dtype != bool or self.seen_mask.shape != (n_states,):
+            raise ValueError(f"seen_mask must be a bool vector of shape ({n_states},)")
+        if not np.all(self.cond >= 0):  # NaN fails too
+            raise ValueError("conditionals must be nonnegative")
+        if np.any(np.abs(self.cond[self.seen_mask].sum(axis=1) - 1.0) > _SUM_TOL):
+            raise ValueError("seen conditional rows must sum to 1")
+        if np.any(self.cond[~self.seen_mask] != 0):
+            raise ValueError("unseen conditional rows must be zero")
+        if not self.seen_mask.any():
+            raise ValueError("at least one input must remain seen")
+
+    @property
+    def n_inputs(self) -> int:
+        return self.n_states.bit_length() - 1
 
     @property
     def n_states(self) -> int:
-        return 1 << self.n_inputs
+        return self.cond.shape[0]
 
-    @property
-    def seen_count(self) -> int:
-        return int(self.seen_mask.sum())
-
-    def conditionals(self) -> np.ndarray:
-        """Per-input conditionals p(a|b); zero rows for unseen inputs."""
-        return self.cond
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """Joint p(b, a), shape (2^N, 2), summing to 1: every seen input
+        weighs the same and unseen inputs carry zero mass."""
+        return self.cond / self.seen_mask.sum()
 
     @classmethod
     def from_conditionals(cls, cond: np.ndarray, seen_mask: np.ndarray | None = None) -> "TargetDistribution":
         """Build a target from per-input conditional weights.
 
-        Rows are normalized individually; the joint weights all seen inputs
-        equally.  A seen row summing to zero is an error.
+        Seen rows are normalized individually and unseen rows are zeroed.
+        A seen row summing to zero is an error.
         """
         cond = np.asarray(cond, dtype=float)
-        if cond.ndim != 2 or cond.shape[1] != 2 or cond.shape[0] < 2:
+        if cond.ndim != 2:
             raise ValueError(f"conditionals must have shape (2^N, 2), got {cond.shape}")
-        n_inputs = int(cond.shape[0]).bit_length() - 1
-        if (1 << n_inputs) != cond.shape[0]:
-            raise ValueError(f"row count {cond.shape[0]} is not a power of two")
-        if not np.all(cond >= 0):  # NaN fails too
-            raise ValueError("conditional weights must be nonnegative")
         if seen_mask is None:
             seen_mask = np.ones(cond.shape[0], dtype=bool)
         else:
@@ -105,36 +91,9 @@ class TargetDistribution:
         row_sums = cond.sum(axis=1)
         if np.any(row_sums[seen_mask] <= 0):
             raise ValueError("every seen input needs positive conditional weight")
-        seen_count = int(seen_mask.sum())
-        if seen_count == 0:
-            raise ValueError("at least one input must remain seen")
         normalized = np.zeros_like(cond)
-        rows = seen_mask
-        normalized[rows] = cond[rows] / row_sums[rows, None]
-        return cls(
-            n_inputs=n_inputs,
-            probs=normalized / seen_count,
-            seen_mask=seen_mask,
-            cond=normalized,
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_inputs": self.n_inputs,
-                "probs": self.probs.tolist(),
-                "seen_mask": self.seen_mask.astype(int).tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TargetDistribution":
-        data = json.loads(text)
-        return cls(
-            n_inputs=int(data["n_inputs"]),
-            probs=np.asarray(data["probs"], dtype=float),
-            seen_mask=np.asarray(data["seen_mask"], dtype=bool),
-        )
+        normalized[seen_mask] = cond[seen_mask] / row_sums[seen_mask, None]
+        return cls(cond=normalized, seen_mask=seen_mask)
 
 
 def gaussian_target(n_inputs: int, center: float | None = None, sigma: float | None = None) -> TargetDistribution:
@@ -163,17 +122,10 @@ def majority_target(n_inputs: int) -> TargetDistribution:
     """Full conditional mass on the more frequent input bit; ties split 1/2."""
     if n_inputs < 1:
         raise ValueError(f"n_inputs must be >= 1, got {n_inputs}")
-    n_states = 1 << n_inputs
-    cond = np.empty((n_states, 2))
-    for n in range(n_states):
-        ones = int(n).bit_count()
-        zeros = n_inputs - ones
-        if zeros > ones:
-            cond[n] = (1.0, 0.0)
-        elif ones > zeros:
-            cond[n] = (0.0, 1.0)
-        else:
-            cond[n] = (0.5, 0.5)
+    # sign(ones - zeros) is -1, 0 or +1, so p(1|b) is exactly 0, 1/2 or 1.
+    ones = np.bitwise_count(np.arange(1 << n_inputs))
+    p1 = (np.sign(2.0 * ones - n_inputs) + 1.0) / 2.0
+    cond = np.stack([1.0 - p1, p1], axis=1)
     return TargetDistribution.from_conditionals(cond)
 
 
@@ -200,12 +152,7 @@ def mask_fraction(target: TargetDistribution, fraction: float, seed: int) -> Tar
     n_states = target.n_states
     n_masked = int(fraction * n_states)
     if n_masked == 0:
-        return TargetDistribution(
-            n_inputs=target.n_inputs,
-            probs=target.probs.copy(),
-            seen_mask=target.seen_mask.copy(),
-            cond=target.conditionals().copy(),
-        )
+        return TargetDistribution(target.cond.copy(), target.seen_mask.copy())
     seen_inputs = np.flatnonzero(target.seen_mask)
     if n_masked >= seen_inputs.size:
         raise ValueError(
@@ -217,14 +164,8 @@ def mask_fraction(target: TargetDistribution, fraction: float, seed: int) -> Tar
     seen = target.seen_mask.copy()
     seen[hidden] = False
     # Seen conditional rows are copied bit for bit; only the joint weight
-    # per seen input changes.
-    cond = np.where(seen[:, None], target.conditionals(), 0.0)
-    return TargetDistribution(
-        n_inputs=target.n_inputs,
-        probs=cond / int(seen.sum()),
-        seen_mask=seen,
-        cond=cond,
-    )
+    # per seen input, derived from the mask, changes.
+    return TargetDistribution(np.where(seen[:, None], target.cond, 0.0), seen)
 
 
 def target_angles(target: TargetDistribution) -> np.ndarray:
@@ -232,7 +173,7 @@ def target_angles(target: TargetDistribution) -> np.ndarray:
 
     Unseen inputs have no defined angle and come back as NaN.
     """
-    cond0 = np.clip(target.conditionals()[:, 0], 0.0, 1.0)
+    cond0 = np.clip(target.cond[:, 0], 0.0, 1.0)
     angles = np.arccos(np.sqrt(cond0))
     return np.where(target.seen_mask, angles, np.nan)
 
@@ -252,17 +193,22 @@ def load_target_csv(path: str) -> TargetDistribution:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"target CSV needs columns {sorted(required)}")
         for row in reader:
+            if any(row[key] is None for key in required):
+                raise ValueError(f"line {reader.line_num} of {path} misses a field")
             bits = row["bitstring"].strip()
             if width is None:
                 width = len(bits)
+                if 2 << width > MAX_ENTRIES:  # the (2^N, 2) conditionals
+                    raise ValueError(f"{width}-bit inputs in {path} need more than "
+                                     f"{MAX_ENTRIES} conditional entries")
             if len(bits) != width or any(ch not in "01" for ch in bits):
                 raise ValueError(f"bad bitstring {bits!r} in {path}")
             a = int(row["output_bit"])
             if a not in (0, 1):
                 raise ValueError(f"output_bit must be 0 or 1, got {row['output_bit']!r}")
             w = float(row["weight"])
-            if w < 0:
-                raise ValueError(f"negative weight {w} in {path}")
+            if not w >= 0:  # NaN fails too
+                raise ValueError(f"weight {w} in {path} is not nonnegative")
             key = (int(bits, 2), a)
             weights[key] = weights.get(key, 0.0) + w
     if width is None:
@@ -273,12 +219,11 @@ def load_target_csv(path: str) -> TargetDistribution:
     seen = cond.sum(axis=1) > 0
     if not seen.any():
         raise ValueError(f"target CSV {path} carries no mass")
-    return TargetDistribution.from_conditionals(np.where(seen[:, None], cond, 0.0), seen_mask=seen)
+    return TargetDistribution.from_conditionals(cond, seen_mask=seen)
 
 
 def save_target_csv(target: TargetDistribution, path: str) -> None:
     """Write the conditionals of the seen inputs in the loadable format."""
-    cond = target.conditionals()
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["bitstring", "output_bit", "weight"])
@@ -287,4 +232,4 @@ def save_target_csv(target: TargetDistribution, path: str) -> None:
                 continue
             bits = format(b, f"0{target.n_inputs}b")
             for a in (0, 1):
-                writer.writerow([bits, a, repr(float(cond[b, a]))])
+                writer.writerow([bits, a, repr(float(target.cond[b, a]))])

@@ -3,15 +3,13 @@ import pytest
 
 import qimpute.ansatz
 from qimpute.analysis import (
-    _block_amplitudes,
-    _entropy,
     fit_entropy_curve,
     gradient_statistics,
     gradient_statistics_vs_m,
     mean_entropy,
     target_entropy,
 )
-from qimpute.ansatz import Ansatz, conditional_output, flip_bits, sign_matrix
+from qimpute.ansatz import Ansatz, conditional_output, sign_matrix
 from qimpute.optimize import adjusted_target_angles, finite_difference_gradient, gradient
 from qimpute.rng import stream
 from qimpute.targets import gaussian_target, mask_fraction, random_target
@@ -73,6 +71,19 @@ class TestMeanEntropy:
         with pytest.raises(ValueError):
             mean_entropy(Ansatz.linear(3), sample_count=50, seed=0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 9])
+    def test_linear_matches_exact_mean(self, n):
+        # Over uniform parameters the linear family's entropy has mean
+        # 1 - (1/ln 2) sum_k c_k^N / (2k (2k - 1)), c_k = C(2k, k) / 4^k.
+        # c_k falls, so the terms past K sum to at most c_K / (4K) < 5e-9.
+        k = np.arange(1, 100_001)
+        c = np.cumprod((2 * k - 1) / (2 * k))
+        exact = 1.0 - (c ** n / (2 * k * (2 * k - 1))).sum() / np.log(2.0)
+        samples = 20_000
+        stats = mean_entropy(Ansatz.linear(n), sample_count=samples, seed=3)
+        # Each entropy lies in [0, 1], so its standard deviation is at most 1/2.
+        assert abs(stats.mean_entropy - exact) < 4 * 0.5 / np.sqrt(samples)
+
 
 class TestGradientStatistics:
     def test_reproducible(self):
@@ -132,8 +143,16 @@ def one_block_statistics(ansatz, target, sample_count, seed):
     distance = np.sqrt(np.clip(1.0 - np.abs(overlap), 0.0, None))
     grads = -np.sign(overlap) * d_overlap / (2.0 * np.maximum(distance, 1e-15))
     draws = stream(seed, "entropy-stats").uniform(0, 2 * np.pi, (sample_count, ansatz.param_count))
-    entropies = _entropy(*_block_amplitudes(draws @ signs.T, flip_bits(ansatz)))
-    return np.abs(grads).mean(), grads.var(), entropies.mean()
+    entropies = [eigenvalue_entropy(conditional_output(ansatz, p)) for p in draws]
+    return np.abs(grads).mean(), grads.var(), np.mean(entropies)
+
+
+def eigenvalue_entropy(out):
+    """Base-2 entropy of the input-averaged projector onto (amp0, amp1)."""
+    amps = np.stack([out.amp0, out.amp1])
+    lams = np.clip(np.linalg.eigvalsh(amps @ amps.T / out.amp0.size), 0.0, 1.0)
+    lams = lams[lams > 0]
+    return float(-(lams * np.log2(lams)).sum())
 
 
 @pytest.mark.parametrize("budget", [1, 7 * 32, 1 << 20])

@@ -94,8 +94,6 @@ def test_constructors_match_counts():
         for kind in ("linear", "quadratic", "exponential"):
             ansatz = getattr(Ansatz, kind)(n)
             assert ansatz.param_count == param_count(kind, n)
-            assert len(ansatz.index_map) == ansatz.param_count
-            assert len(set(ansatz.index_map)) == ansatz.param_count
 
 
 def test_linear_with_pairs_endpoints():

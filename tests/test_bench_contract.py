@@ -8,6 +8,7 @@ load ``bench/workloads.py`` as it is and run its output checks on the
 workload seeds whose near-exact fits exposed a cancelling distance.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -43,6 +44,29 @@ def test_every_traced_layer_name_is_bound(tracing):
         module = importlib.import_module(f"qimpute.{layer}")
         for name in functions:
             assert callable(getattr(module, name, None)), f"qimpute.{layer}.{name}"
+
+
+def _chain(node):
+    """Dotted path of an attribute chain rooted at the name ``q``, else None."""
+    if isinstance(node, ast.Name):
+        return [] if node.id == "q" else None
+    if isinstance(node, ast.Attribute):
+        head = _chain(node.value)
+        return None if head is None else head + [node.attr]
+    return None
+
+
+def test_every_workload_api_name_resolves():
+    # The workloads reach qimpute only through the module object ``q``, so
+    # an attribute path removed from the package would fail only at run time.
+    tree = ast.parse((BENCH_DIR / "workloads.py").read_text())
+    paths = {tuple(path) for node in ast.walk(tree) if (path := _chain(node))}
+    assert ("mean_entropy",) in paths
+    for path in sorted(paths):
+        obj = qimpute
+        for attr in path:
+            assert hasattr(obj, attr), "qimpute." + ".".join(path)
+            obj = getattr(obj, attr)
 
 
 def test_traced_fit_reports_sign_map_times(tracing, tmp_path):

@@ -325,6 +325,10 @@ class TestCli:
         save_target_csv(mask_fraction(gaussian_target(3), 0.5, seed=1), str(half_seen))
         bad_bits = tmp_path / "bad_bits.csv"
         bad_bits.write_text("bitstring,output_bit,weight\n01x,0,1.0\n")
+        short_row = tmp_path / "short_row.csv"
+        short_row.write_text("bitstring,output_bit,weight\n01,0\n")
+        too_wide = tmp_path / "too_wide.csv"
+        too_wide.write_text("bitstring,output_bit,weight\n" + "0" * 24 + ",0,1\n")
         config_argvs = []
         for index, (experiment, bad, _) in enumerate(REJECTED_CONFIGS):
             path = tmp_path / f"bad{index}.json"
@@ -351,6 +355,8 @@ class TestCli:
             ["fit", "--center", "nan"],
             ["fit", "--csv", os.devnull],
             ["fit", "--csv", str(bad_bits)],
+            ["fit", "--csv", str(short_row), "--n", "2"],
+            ["fit", "--csv", str(too_wide), "--n", "2"],
             ["fit", "--n", "1000000000"],
             ["bp-stats", "--m-sweep-n", "1000000000"],
             # Counts far above the cap (TestConfig covers MAX_ENTRIES + 1), so

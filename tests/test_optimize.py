@@ -315,7 +315,7 @@ class TestSolveExponential:
     def test_masked_inputs_filled_with_even_split(self):
         full = random_target(2, seed=9)
         masked = TargetDistribution.from_conditionals(
-            full.conditionals() * np.array([1.0, 1.0, 0.0, 1.0])[:, None],
+            full.cond * np.array([1.0, 1.0, 0.0, 1.0])[:, None],
             seen_mask=np.array([True, True, False, True]),
         )
         params = solve_exponential(masked)
@@ -344,6 +344,6 @@ def test_adjusted_targets_flip_complement():
     target = random_target(3, seed=10)
     linear_goal = adjusted_target_angles(Ansatz.linear(3), target)
     theta, flips = effective_angles(Ansatz.linear(3), np.zeros(4))
-    bare = np.arccos(np.sqrt(target.conditionals()[:, 0]))
+    bare = np.arccos(np.sqrt(target.cond[:, 0]))
     expected = np.where(flips, np.pi / 2 - bare, bare)
     assert np.allclose(linear_goal, expected, atol=0)

@@ -1,5 +1,5 @@
-import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,14 +21,14 @@ def assert_valid(target):
     assert target.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(target.probs >= 0)
     assert np.all(target.probs[~target.seen_mask] == 0)
-    cond = target.conditionals()
+    cond = target.cond
     assert np.allclose(cond[target.seen_mask].sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestGaussian:
     def test_peak_weight(self):
         target = gaussian_target(3)
-        cond = target.conditionals()
+        cond = target.cond
         peak = 1.0 / math.sqrt(2.0 * math.pi)
         assert cond[1, 0] == pytest.approx(peak, abs=1e-12)  # center (N-1)/2 = 1
         assert cond[1, 1] == pytest.approx(1.0 - peak, abs=1e-12)
@@ -38,12 +38,12 @@ class TestGaussian:
             assert_valid(gaussian_target(n))
 
     def test_symmetric_about_center(self):
-        cond = gaussian_target(3).conditionals()
+        cond = gaussian_target(3).cond
         assert cond[0, 0] == pytest.approx(cond[2, 0], abs=1e-12)
 
     def test_overrides(self):
         target = gaussian_target(3, center=4.0, sigma=2.0)
-        cond = target.conditionals()
+        cond = target.cond
         assert cond[4, 0] == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-12)
         assert cond[2, 0] == pytest.approx(cond[6, 0], abs=1e-12)
         for bad in ({"sigma": 0.0}, {"sigma": -1.0}, {"sigma": math.nan},
@@ -56,28 +56,26 @@ class TestGaussian:
 
 class TestMajority:
     def test_majority_of_ones(self):
-        cond = majority_target(3).conditionals()
+        cond = majority_target(3).cond
         assert cond[5] == pytest.approx([0.0, 1.0])  # 101 has two ones
 
     def test_tie_splits_evenly(self):
-        cond = majority_target(2).conditionals()
+        cond = majority_target(2).cond
         assert cond[1] == pytest.approx([0.5, 0.5])
 
     def test_single_bit_identity(self):
-        cond = majority_target(1).conditionals()
+        cond = majority_target(1).cond
         assert cond[0] == pytest.approx([1.0, 0.0])
         assert cond[1] == pytest.approx([0.0, 1.0])
 
     def test_argmax_matches_majority_exhaustively(self):
         for n in range(1, 7):
-            cond = majority_target(n).conditionals()
+            cond = majority_target(n).cond
             for value in range(1 << n):
                 ones = int(value).bit_count()
                 zeros = n - ones
-                if ones != zeros:
-                    assert int(np.argmax(cond[value])) == int(ones > zeros)
-                else:
-                    assert cond[value, 0] == pytest.approx(0.5)
+                expected = (1.0, 0.0) if zeros > ones else (0.0, 1.0) if ones > zeros else (0.5, 0.5)
+                assert tuple(cond[value]) == expected
 
 
 class TestRandom:
@@ -87,7 +85,7 @@ class TestRandom:
         assert np.array_equal(a.probs, b.probs)
 
     def test_rows_sum_to_one(self):
-        cond = random_target(5, seed=0).conditionals()
+        cond = random_target(5, seed=0).cond
         assert np.allclose(cond.sum(axis=1), 1.0, atol=1e-12)
 
     def test_seeds_differ(self):
@@ -114,7 +112,7 @@ class TestMasking:
         target = random_target(4, seed=2)
         masked = mask_fraction(target, 0.7, seed=3)
         seen = masked.seen_mask
-        assert np.array_equal(masked.conditionals()[seen], target.conditionals()[seen])
+        assert np.array_equal(masked.cond[seen], target.cond[seen])
 
     def test_deterministic_in_seed(self):
         a = mask_fraction(gaussian_target(4), 0.3, seed=5)
@@ -192,7 +190,7 @@ class TestSerialization:
         )
         target = load_target_csv(path)
         assert target.n_inputs == 1
-        assert target.conditionals()[0] == pytest.approx([0.75, 0.25])
+        assert target.cond[0] == pytest.approx([0.75, 0.25])
         assert not target.seen_mask[1]
 
     def test_csv_rejects_bad_rows(self, tmp_path):
@@ -206,27 +204,48 @@ class TestSerialization:
         path.write_text("bitstring,output_bit,weight\n01,2,1\n")
         with pytest.raises(ValueError):
             load_target_csv(path)
+        path.write_text("bitstring,output_bit,weight\n01,0\n")
+        with pytest.raises(ValueError, match="misses a field"):
+            load_target_csv(path)
+        # A NaN weight would otherwise leave its input silently unseen.
+        for weight in ("-1", "nan"):
+            path.write_text(f"bitstring,output_bit,weight\n0,0,{weight}\n1,0,1\n")
+            with pytest.raises(ValueError, match="not nonnegative"):
+                load_target_csv(path)
 
-    def test_json_round_trip(self):
-        target = mask_fraction(gaussian_target(3), 0.5, seed=7)
-        clone = TargetDistribution.from_json(target.to_json())
-        assert clone.n_inputs == target.n_inputs
-        assert np.array_equal(clone.seen_mask, target.seen_mask)
-        assert np.allclose(clone.probs, target.probs, atol=0)
-        json.loads(target.to_json())  # stays plain JSON
+    def test_csv_too_wide_refused_before_sizing(self, tmp_path):
+        # (2^24, 2) conditionals exceed MAX_ENTRIES; the first row decides.
+        path = tmp_path / "wide.csv"
+        path.write_text("bitstring,output_bit,weight\n" + "0" * 24 + ",0,1\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="24-bit"):
+                load_target_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 def test_invariants_enforced_on_construction():
-    with pytest.raises(ValueError):
-        TargetDistribution(1, np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([True, True]))
-    with pytest.raises(ValueError):
-        TargetDistribution(
-            1, np.array([[0.5, 0.5], [0.0, 0.1]]), np.array([True, False])
-        )
-    with pytest.raises(ValueError):
-        TargetDistribution(1, np.array([[1.5, -0.5], [0.0, 0.0]]), np.array([True, False]))
+    both = np.array([True, True])
+    first = np.array([True, False])
+    # A seen row that does not sum to 1.
+    with pytest.raises(ValueError, match="sum to 1"):
+        TargetDistribution(np.array([[0.5, 0.5], [0.5, 0.4]]), both)
+    # Mass on an unseen row.
+    with pytest.raises(ValueError, match="unseen"):
+        TargetDistribution(np.array([[0.5, 0.5], [0.0, 0.1]]), first)
+    with pytest.raises(ValueError, match="nonnegative"):
+        TargetDistribution(np.array([[1.5, -0.5], [0.0, 0.0]]), first)
     # NaN passes every comparison-based check unless the check requires >= 0.
-    with pytest.raises(ValueError):
-        TargetDistribution(1, np.array([[np.nan, 0.5], [0.0, 0.5]]), np.array([True, True]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        TargetDistribution(np.array([[np.nan, 0.5], [0.0, 1.0]]), both)
     with pytest.raises(ValueError):
         TargetDistribution.from_conditionals(np.array([[np.nan, 0.5], [0.5, 0.5]]))
+
+
+def test_joint_is_derived_from_conditionals_and_mask():
+    target = mask_fraction(random_target(3, seed=4), 0.5, seed=4)
+    assert target.n_inputs == 3
+    assert np.array_equal(target.probs, target.cond / 4)
