@@ -12,13 +12,21 @@ per-input amplitudes are formed.  Averaging the entropy over random
 parameters tracks the same saturation and is fit with a pinned-base
 exponential approach to 1.
 
+For the linear family the entropy needs no S: in the prefix parities
+c_k = b_1 xor ... xor b_k a uniform input register is uniform and
+independent, so both Bloch sums factor over the parameters and one draw
+costs O(N) (``_linear_entropy``).
+
 Both Monte Carlo statistics draw and evaluate their samples one
-``ansatz._row_blocks`` block at a time, so besides S they hold one block
-and one float per sample.
+``ansatz._row_blocks`` block at a time.  A call allocates its block
+arrays once, sized for the first (largest) block, and writes every block
+through views of them, so besides S (none for linear entropy) it holds
+one set of block arrays and one float per sample.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,6 +87,22 @@ class ExpFit:
     degenerate: bool
 
 
+def _block_buffers(sample_count: int, row_entries: int, *widths: int):
+    """The ``_row_blocks`` slices over the samples, and one uninitialized
+    (rows x width) array per width, rows being the first (largest) block's."""
+    blocks = _row_blocks(sample_count, row_entries)
+    first = next(blocks)
+    buffers = [np.empty((first.stop, width)) for width in widths]
+    return itertools.chain([first], blocks), buffers
+
+
+def _uniform_angles(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the numbers ``rng.uniform(0, 2 pi, out.shape)`` draws."""
+    rng.random(out=out)
+    out *= 2.0 * np.pi
+    return out
+
+
 def gradient_statistics(
     ansatz: Ansatz,
     target: TargetDistribution,
@@ -99,14 +123,18 @@ def gradient_statistics(
     if not 0 <= param_index < ansatz.param_count:
         raise ValueError(f"param_index {param_index} outside 0..{ansatz.param_count - 1}")
     seen_signs, seen_goal = _seen_system(ansatz, target)
+    column = np.ascontiguousarray(seen_signs[:, param_index])
     rng = stream(seed, "gradient-stats")
     grads = np.empty(sample_count)
-    for rows in _row_blocks(sample_count, 1 << ansatz.n_inputs):
-        draws = rng.uniform(0.0, 2.0 * np.pi, size=(rows.stop - rows.start, ansatz.param_count))
-        residual = draws @ seen_signs.T
-        residual -= seen_goal
-        gap, d_gap = _overlap_gap(residual)
-        grads[rows] = d_gap @ seen_signs[:, param_index] / (2.0 * np.sqrt(gap))
+    n_seen = seen_goal.size
+    blocks, (draws, residual, d_gap) = _block_buffers(
+        sample_count, 1 << ansatz.n_inputs, ansatz.param_count, n_seen, n_seen)
+    for rows in blocks:
+        size = rows.stop - rows.start
+        block = np.matmul(_uniform_angles(rng, draws[:size]), seen_signs.T, out=residual[:size])
+        block -= seen_goal
+        gap, block_d_gap = _overlap_gap(block, out=d_gap[:size])
+        grads[rows] = block_d_gap @ column / (2.0 * np.sqrt(gap))
     return GradientStats(
         n_inputs=ansatz.n_inputs,
         n_params=ansatz.param_count,
@@ -138,21 +166,46 @@ def gradient_statistics_vs_m(
     ]
 
 
-def _entropy(theta: np.ndarray, flipped: np.ndarray) -> np.ndarray:
-    """Base-2 entropy of the output qubit from its block angles and flip bits.
-
-    Under a uniform input register the reduced state has Bloch vector
-    (B, 0, A) with A = mean sigma_b cos 2 theta_b, sigma_b = -1 on flipped
-    blocks, and B = mean sin 2 theta_b; its eigenvalues are (1 +- r) / 2
-    with r = hypot(A, B).  ``theta`` may carry leading batch axes.
-    """
-    sigma = np.where(flipped, -1.0, 1.0) / theta.shape[-1]
-    double = 2.0 * theta
-    split = np.hypot(np.cos(double) @ sigma, np.sin(double).mean(axis=-1)) / 2.0
+def _radius_entropy(radius: np.ndarray) -> np.ndarray:
+    """Base-2 entropy of a qubit whose Bloch vector has length ``radius``:
+    its eigenvalues are (1 +- r) / 2."""
+    split = radius / 2.0
     lams = np.stack([0.5 + split, 0.5 - split], axis=-1)
     lams = np.clip(lams, 0.0, 1.0)
     terms = np.where(lams > 0, -lams * np.log2(np.where(lams > 0, lams, 1.0)), 0.0)
     return terms.sum(axis=-1)
+
+
+def _entropy(theta: np.ndarray, flipped: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Base-2 entropy of the output qubit from its block angles and flip bits.
+
+    Under a uniform input register the reduced state has Bloch vector
+    (B, 0, A) with A = mean sigma_b cos 2 theta_b, sigma_b = -1 on flipped
+    blocks, and B = mean sin 2 theta_b, so r = hypot(A, B).  ``theta`` may
+    carry leading batch axes and is overwritten; the cosines go to ``out``
+    (same shape as ``theta``, allocated when None).
+    """
+    sigma = np.where(flipped, -1.0, 1.0) / theta.shape[-1]
+    theta *= 2.0
+    along = np.cos(theta, out=out) @ sigma
+    across = np.sin(theta, out=theta).mean(axis=-1)
+    return _radius_entropy(np.hypot(along, across))
+
+
+def _linear_entropy(draws: np.ndarray) -> np.ndarray:
+    """``_entropy`` of the linear family for each row of parameters, in O(N).
+
+    theta_b = p_0 + sum_k (-1)^c_k p_k with prefix parities c_k and flip
+    c_N, and the c_k of a uniform input are uniform and independent, so
+    B = sin 2p_0 prod_{k=1}^N cos 2p_k, A = -sin 2p_0 sin 2p_N
+    prod_{k=1}^{N-1} cos 2p_k and r = |sin 2p_0 prod_{k=1}^{N-1} cos 2p_k|.
+    ``draws`` is overwritten.
+    """
+    double = draws[:, :-1]
+    double *= 2.0
+    np.sin(double[:, 0], out=double[:, 0])
+    np.cos(double[:, 1:], out=double[:, 1:])
+    return _radius_entropy(np.abs(double.prod(axis=1)))
 
 
 def target_entropy(ansatz: Ansatz, params) -> float:
@@ -161,15 +214,30 @@ def target_entropy(ansatz: Ansatz, params) -> float:
 
 
 def mean_entropy(ansatz: Ansatz, sample_count: int = 1000, seed: int = 0) -> EntropyStats:
-    """Monte Carlo average of ``target_entropy`` over uniform parameters."""
+    """Monte Carlo average of ``target_entropy`` over uniform parameters.
+
+    An ansatz whose gates are exactly the linear family's single controls
+    takes the closed form of ``_linear_entropy``; any other gate list is
+    evaluated through S.
+    """
     if sample_count < MIN_SAMPLE_COUNT:
         raise ValueError(f"sample_count must be >= {MIN_SAMPLE_COUNT}, got {sample_count}")
     rng = stream(seed, "entropy-stats")
-    signs, flips = sign_matrix(ansatz), flip_bits(ansatz)
     entropies = np.empty(sample_count)
-    for rows in _row_blocks(sample_count, 1 << ansatz.n_inputs):
-        draws = rng.uniform(0.0, 2.0 * np.pi, size=(rows.stop - rows.start, ansatz.param_count))
-        entropies[rows] = _entropy(draws @ signs.T, flips)
+    n_params = ansatz.param_count
+    if ansatz.controls == Ansatz.linear(ansatz.n_inputs).controls:
+        blocks, (draws,) = _block_buffers(sample_count, n_params, n_params)
+        for rows in blocks:
+            entropies[rows] = _linear_entropy(_uniform_angles(rng, draws[:rows.stop - rows.start]))
+    else:
+        signs, flips = sign_matrix(ansatz), flip_bits(ansatz)
+        n_states = 1 << ansatz.n_inputs
+        blocks, (draws, theta, cosines) = _block_buffers(
+            sample_count, n_states, n_params, n_states, n_states)
+        for rows in blocks:
+            size = rows.stop - rows.start
+            block = np.matmul(_uniform_angles(rng, draws[:size]), signs.T, out=theta[:size])
+            entropies[rows] = _entropy(block, flips, out=cosines[:size])
     return EntropyStats(
         n_inputs=ansatz.n_inputs,
         n_params=ansatz.param_count,

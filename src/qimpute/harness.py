@@ -369,7 +369,8 @@ class _Run:
 
 def _build_target(config: ExperimentConfig, n_inputs: int, seed: int) -> TargetDistribution:
     """The run's target at one width; a target that cannot be built (a bad
-    gaussian override, an unreadable or malformed CSV) is a ConfigError."""
+    gaussian override, an unreadable or malformed CSV, a CSV of another
+    width) is a ConfigError."""
     try:
         if config.target == "gaussian":
             return gaussian_target(n_inputs, center=config.center, sigma=config.sigma)
@@ -377,14 +378,9 @@ def _build_target(config: ExperimentConfig, n_inputs: int, seed: int) -> TargetD
             return majority_target(n_inputs)
         if config.target == "random":
             return random_target(n_inputs, seed)
-        target = load_target_csv(config.target_csv)
+        return load_target_csv(config.target_csv, n_inputs)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    if target.n_inputs != n_inputs:
-        raise ConfigError(
-            f"target CSV has {target.n_inputs} input bits but the run asks for {n_inputs}"
-        )
-    return target
 
 
 def _optimize(kind: str, target: TargetDistribution):

@@ -101,7 +101,9 @@ def adjusted_target_angles(ansatz: Ansatz, target: TargetDistribution) -> np.nda
     return np.where(flip_bits(ansatz), np.pi / 2.0 - bare, bare)
 
 
-def _overlap_gap(residual: np.ndarray, curvature: bool = False) -> tuple[np.ndarray, ...]:
+def _overlap_gap(
+    residual: np.ndarray, curvature: bool = False, out: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
     """E = 1 - |F| and dE/dr for F = mean cos(r) over the last axis of r.
 
     E is the smaller of mean 2 sin^2(r/2) = 1 - F and mean 2 cos^2(r/2) =
@@ -109,12 +111,13 @@ def _overlap_gap(residual: np.ndarray, curvature: bool = False) -> tuple[np.ndar
     ``curvature`` a third array follows: d^2E/dr^2 = sign(F) (cos^2(r/2) -
     sin^2(r/2)) / n = sign(F) cos(r) / n, the diagonal the Hessian in the
     parameters is built from.  Leading axes are a batch.  ``residual`` is
-    overwritten, so without ``curvature`` the derivative is the only new
-    array of its size.
+    overwritten and the derivative is written to ``out`` (same shape,
+    allocated when None), so without ``curvature`` no array of its size is
+    allocated when ``out`` is given.
     """
     n = residual.shape[-1]
     residual *= 0.5
-    d_gap = np.sin(residual)
+    d_gap = np.sin(residual, out=out)
     half_cos = np.cos(residual, out=residual)
     below = np.vecdot(d_gap, d_gap)  # n (1 - F) / 2
     above = np.vecdot(half_cos, half_cos)  # n (1 + F) / 2

@@ -178,12 +178,14 @@ def target_angles(target: TargetDistribution) -> np.ndarray:
     return np.where(target.seen_mask, angles, np.nan)
 
 
-def load_target_csv(path: str) -> TargetDistribution:
+def load_target_csv(path: str, n_inputs: int | None = None) -> TargetDistribution:
     """Read a target from rows of (bitstring, output_bit, weight).
 
     Bitstrings are fixed-width binary text, first character = b_1.  Weights
     are conditioned per input and normalized on load; inputs absent from
     the file (or with zero total weight) are unseen.  Duplicate rows add.
+    The first row sets the width; one that differs from ``n_inputs``, when
+    given, is refused there, before anything is sized from the file.
     """
     width: int | None = None
     weights: dict[tuple[int, int], float] = {}
@@ -198,6 +200,9 @@ def load_target_csv(path: str) -> TargetDistribution:
             bits = row["bitstring"].strip()
             if width is None:
                 width = len(bits)
+                if n_inputs is not None and width != n_inputs:
+                    raise ValueError(f"target CSV has {width} input bits but the run "
+                                     f"asks for {n_inputs}")
                 if 2 << width > MAX_ENTRIES:  # the (2^N, 2) conditionals
                     raise ValueError(f"{width}-bit inputs in {path} need more than "
                                      f"{MAX_ENTRIES} conditional entries")

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import qimpute.ansatz
 from qimpute.analysis import (
+    _linear_entropy,
+    _radius_entropy,
     fit_entropy_curve,
     gradient_statistics,
     gradient_statistics_vs_m,
@@ -84,6 +87,34 @@ class TestMeanEntropy:
         # Each entropy lies in [0, 1], so its standard deviation is at most 1/2.
         assert abs(stats.mean_entropy - exact) < 4 * 0.5 / np.sqrt(samples)
 
+    @given(st.data())
+    def test_linear_closed_form_matches_bloch_sums(self, data):
+        n = data.draw(st.integers(1, 10))
+        angle = st.floats(0.0, 2 * np.pi)
+        params = np.array(data.draw(st.lists(angle, min_size=n + 1, max_size=n + 1)))
+        closed = _linear_entropy(params[None, :].copy())[0]
+        general = target_entropy(Ansatz.linear(n), params)
+        # The Bloch-sum path rounds each theta_b = S p, a sum of N+1 terms
+        # up to sum |p_k|, which moves its Bloch radius by up to about
+        # delta = (N + 2) eps sum |p_k|; near a pure state the entropy
+        # magnifies that.  1e-15 covers the remaining rounding.
+        radius = abs(np.sin(2 * params[0]) * np.prod(np.cos(2 * params[1:-1])))
+        delta = (n + 2) * np.finfo(float).eps * np.abs(params).sum()
+        spread = np.ptp(_radius_entropy(np.clip([radius - delta, radius + delta], 0.0, 1.0)))
+        assert abs(closed - general) <= 1e-15 + spread
+
+    def test_linear_kind_with_pair_gate_takes_general_path(self):
+        # The closed form holds for the single-control gate list, not for
+        # whatever an ansatz named "linear" carries.
+        gates = ((1,), (1, 2), (2,), (3,))
+        named = mean_entropy(Ansatz("linear", 3, gates), sample_count=300, seed=2)
+        custom = mean_entropy(Ansatz("custom", 3, gates), sample_count=300, seed=2)
+        assert named == custom
+        draws = stream(2, "entropy-stats").uniform(0, 2 * np.pi, (300, len(gates) + 1))
+        reference = np.mean(
+            [eigenvalue_entropy(conditional_output(Ansatz("custom", 3, gates), p)) for p in draws])
+        assert named.mean_entropy == pytest.approx(reference, rel=1e-12, abs=0.0)
+
 
 class TestGradientStatistics:
     def test_reproducible(self):
@@ -155,11 +186,20 @@ def eigenvalue_entropy(out):
     return float(-(lams * np.log2(lams)).sum())
 
 
-@pytest.mark.parametrize("budget", [1, 7 * 32, 1 << 20])
-def test_chunked_statistics_match_one_block(monkeypatch, budget):
-    # 150 samples at N=5: one row per block, 22 blocks of up to 7 rows, one block
+BUDGETS = [1, 7 * 32, 1 << 20]
+
+
+@pytest.mark.parametrize("kind, budget", [
+    *(pytest.param("quadratic", budget, id=str(budget)) for budget in BUDGETS),
+    *(pytest.param("linear", budget, id=f"linear-{budget}") for budget in BUDGETS),
+])
+def test_chunked_statistics_match_one_block(monkeypatch, kind, budget):
+    # 150 samples at N=5: one row per block, 22 blocks of up to 7 rows, one
+    # block.  Linear entropy blocks over its M=6 parameters instead: 150 of
+    # one row, 5 of up to 37 rows, one.  Both short last blocks reuse the
+    # buffers of the full blocks before them.
     monkeypatch.setattr(qimpute.ansatz, "_BLOCK_ENTRIES", budget)
-    ansatz = Ansatz.quadratic(5)
+    ansatz = getattr(Ansatz, kind)(5)
     target = mask_fraction(random_target(5, seed=1), 0.3, seed=2)
     grad_stats = gradient_statistics(ansatz, target, sample_count=150, seed=4)
     entropy_stats = mean_entropy(ansatz, sample_count=150, seed=4)

@@ -3,6 +3,7 @@ import csv
 import json
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +370,21 @@ class TestCli:
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert "config error:" in err and "Traceback" not in err
+
+    def test_csv_of_another_width_refused_before_sizing(self, tmp_path, capsys):
+        # A 23-bit file is under the cap, so only the run's width refuses it
+        # before its (2^23, 2) conditionals are sized.
+        path = tmp_path / "w23.csv"
+        path.write_text("bitstring,output_bit,weight\n" + "0" * 23 + ",0,1\n")
+        tracemalloc.start()
+        try:
+            code = main(["fit", "--csv", str(path), "--n", "2", "--out", str(tmp_path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "23 input bits but the run asks for 2" in capsys.readouterr().err
+        assert peak < 4 << 20
 
     def test_subcommands_reject_flags_their_runner_ignores(self, capsys):
         for argv in (

@@ -226,6 +226,20 @@ class TestSerialization:
             tracemalloc.stop()
         assert peak < 4 << 20
 
+    def test_csv_width_checked_on_first_row(self, tmp_path):
+        path = tmp_path / "w23.csv"
+        path.write_text("bitstring,output_bit,weight\n" + "0" * 23 + ",0,1\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="23 input bits but the run asks for 2"):
+                load_target_csv(path, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        path.write_text("bitstring,output_bit,weight\n01,0,1\n")
+        assert load_target_csv(path, 2).n_inputs == 2
+
 
 def test_invariants_enforced_on_construction():
     both = np.array([True, True])
