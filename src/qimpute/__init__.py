@@ -30,7 +30,6 @@ from .analysis import (
 from .harness import (
     ExperimentConfig,
     ExperimentOutput,
-    SamplingReport,
     run_experiment,
     run_validate,
 )

@@ -2,7 +2,8 @@
 
 One subcommand per experiment.  Values resolve in three layers: built-in
 subcommand defaults, then a JSON config file (--config), then explicit
-flags, with later layers winning.  One table, ``_FLAGS``, declares every
+flags, with later layers winning; a config file may name no other
+experiment than the subcommand's.  One table, ``_FLAGS``, declares every
 flag with the config field it sets, and each subcommand accepts only the
 flags of the fields its experiment reads (``harness.fields_read``).  Exit
 codes: 0 on success, 1 when the validation suite fails, 2 on
@@ -108,6 +109,9 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(file_data, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object")
+        if file_data.get("experiment", args.experiment) != args.experiment:
+            raise ConfigError(f"config {args.config} is for experiment "
+                              f"{file_data['experiment']!r}, not {args.experiment!r}")
         data.update(file_data)
 
     if flags.get("full_scale"):

@@ -33,7 +33,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, fields
 from functools import cache
-from itertools import groupby
+from itertools import chain, groupby
 from pathlib import Path
 from types import NoneType
 from typing import IO, Callable, Iterator
@@ -79,7 +79,6 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "ExperimentOutput",
-    "SamplingReport",
     "EXPERIMENTS",
     "OUTPUT_DIR_ENV",
     "BOUND_SLACK",
@@ -241,38 +240,11 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class SamplingReport:
-    """Classification of sampled (input, output) pairs against the rule.
-
-    A draw counts as rule-correct when the reference distribution puts
-    positive mass on its (input, output) pair; the split mask decides
-    whether a correct draw lands in the seen or the unseen tally.  Seen
-    draws with a rule-violating output count as plain errors.
-    """
-
-    outcomes: int
-    hits_seen: int
-    hits_unseen: int
-
-    @property
-    def hits_total(self) -> int:
-        return self.hits_seen + self.hits_unseen
-
-    @property
-    def ratio_seen(self) -> float:
-        return self.hits_seen / self.outcomes
-
-    @property
-    def ratio_unseen(self) -> float:
-        return self.hits_unseen / self.outcomes
-
-    @property
-    def ratio_total(self) -> float:
-        return self.hits_total / self.outcomes
-
-
-@dataclass(frozen=True)
 class ExperimentOutput:
+    """A data experiment's files and what went into them.  ``rows`` are the
+    runner's own rows, without the ``experiment`` and ``experiment_id``
+    columns that lead each CSV line."""
+
     experiment_id: str
     csv_path: Path
     sidecar_path: Path
@@ -286,18 +258,6 @@ def _out_dir(config: ExperimentConfig) -> Path:
     path = Path(root)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _cell(value) -> str:
-    if value is None or value == "":
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
 
 
 def _write_atomic(path: Path, write: Callable[[IO[str]], None]) -> None:
@@ -324,9 +284,12 @@ class _Run:
 
     Created when the run starts: it hashes the experiment id, starts the
     clock and holds the bound violations the run's fits append.  ``write``
-    adds the provenance columns every row shares and writes the CSV and
-    the sidecar.  The CSV header is the rows' keys in first-seen order, so
-    a runner's row dicts fix its column order.
+    writes the CSV and the sidecar.  Each CSV line is the experiment, its
+    id, then the runner's row as built; the rest of the header is the rows'
+    keys in first-seen order, so a runner's row dicts fix its column order.
+    Row values are Python scalars, which the csv module writes as they are:
+    a float as its shortest round-trip ``repr``, an int or a str as
+    ``str``, and None, like a key the row lacks, as an empty cell.
     """
 
     def __init__(self, config: ExperimentConfig) -> None:
@@ -343,16 +306,15 @@ class _Run:
         self.violations: list[dict] = []
 
     def write(self, rows: list[dict], aggregates: dict | None = None) -> ExperimentOutput:
-        rows = [dict(experiment=self.config.experiment, experiment_id=self.experiment_id, **row)
-                for row in rows]
-        header = list(dict.fromkeys(key for row in rows for key in row))
+        header = list(dict.fromkeys(chain.from_iterable(rows)))
+        lead = (self.config.experiment, self.experiment_id)
         aggregates = aggregates or {}
         csv_path = _out_dir(self.config) / f"{self.experiment_id}.csv"
 
         def write_rows(handle: IO[str]) -> None:
             writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows([_cell(row.get(col)) for col in header] for row in rows)
+            writer.writerow(("experiment", "experiment_id", *header))
+            writer.writerows((*lead, *map(row.get, header)) for row in rows)
 
         _write_atomic(csv_path, write_rows)
         sidecar_path = csv_path.with_suffix(".json")
@@ -448,16 +410,20 @@ def run_fit(config: ExperimentConfig) -> ExperimentOutput:
     run = _Run(config)
     rows: list[dict] = []
     for fit in _fits(config, run.violations, (config.fraction,)):
+        columns = fit.columns
+        width = f"0{fit.ansatz.n_inputs}b"
         joint_circuit = conditional_output(fit.ansatz, fit.params).joint_probabilities()
+        # Flat lists in (input, output bit) order, read in step with the rows.
+        target_probs = iter(fit.target.probs.ravel().tolist())
+        circuit_probs = iter(joint_circuit.ravel().tolist())
         for b in range(fit.target.n_states):
-            bits = format(b, f"0{fit.ansatz.n_inputs}b")
+            bits = format(b, width)
             for a in (0, 1):
                 rows.append(dict(
-                    fit.columns, row_type="prob", bitstring=bits, output_bit=a,
-                    target_prob=float(fit.target.probs[b, a]),
-                    circuit_prob=float(joint_circuit[b, a]),
+                    columns, row_type="prob", bitstring=bits, output_bit=a,
+                    target_prob=next(target_probs), circuit_prob=next(circuit_probs),
                 ))
-        rows.append(dict(fit.columns, row_type="summary", d_h=fit.distance, bound=fit.bound))
+        rows.append(dict(columns, row_type="summary", d_h=fit.distance, bound=fit.bound))
     return run.write(rows)
 
 
@@ -516,17 +482,19 @@ def sample_outcomes(out: ConditionalOutput, n_outcomes: int, rng: np.random.Gene
 
 def classify_outcomes(
     draws: np.ndarray, reference: TargetDistribution, split_mask: np.ndarray
-) -> SamplingReport:
-    """Tally rule-correct draws, split into seen and unseen inputs."""
+) -> tuple[int, int]:
+    """Rule-correct draws as (hits_seen, hits_unseen).
+
+    A draw counts as rule-correct when the reference distribution puts
+    positive mass on its (input, output) pair; the split mask decides
+    whether a correct draw lands in the seen or the unseen tally.  Seen
+    draws with a rule-violating output count as plain errors.
+    """
     inputs = draws >> 1
     outputs = draws & 1
     correct = reference.probs[inputs, outputs] > 0
     seen = split_mask[inputs]
-    return SamplingReport(
-        outcomes=int(draws.size),
-        hits_seen=int(np.count_nonzero(correct & seen)),
-        hits_unseen=int(np.count_nonzero(correct & ~seen)),
-    )
+    return int(np.count_nonzero(correct & seen)), int(np.count_nonzero(correct & ~seen))
 
 
 def run_majority_ratios(config: ExperimentConfig) -> ExperimentOutput:
@@ -536,13 +504,13 @@ def run_majority_ratios(config: ExperimentConfig) -> ExperimentOutput:
     for fit in _fits(config, run.violations, (config.fraction,)):
         out = conditional_output(fit.ansatz, fit.params)
         draws = sample_outcomes(out, config.outcomes, stream(fit.seed, "sampling"))
-        report = classify_outcomes(draws, fit.full, fit.target.seen_mask)
+        hits_seen, hits_unseen = classify_outcomes(draws, fit.full, fit.target.seen_mask)
+        hits_total = hits_seen + hits_unseen
         rows.append(dict(
-            fit.columns, fraction=fit.fraction, outcomes=report.outcomes,
-            hits_seen=report.hits_seen, hits_unseen=report.hits_unseen,
-            hits_total=report.hits_total, ratio_seen=report.ratio_seen,
-            ratio_unseen=report.ratio_unseen, ratio_total=report.ratio_total,
-            bound=fit.bound, d_h_opt=fit.distance,
+            fit.columns, fraction=fit.fraction, outcomes=config.outcomes,
+            hits_seen=hits_seen, hits_unseen=hits_unseen, hits_total=hits_total,
+            ratio_seen=hits_seen / config.outcomes, ratio_unseen=hits_unseen / config.outcomes,
+            ratio_total=hits_total / config.outcomes, bound=fit.bound, d_h_opt=fit.distance,
         ))
     return run.write(rows)
 

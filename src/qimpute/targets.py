@@ -79,7 +79,7 @@ class TargetDistribution:
         """Build a target from per-input conditional weights.
 
         Seen rows are normalized individually and unseen rows are zeroed.
-        A seen row summing to zero is an error.
+        A seen row whose sum is not positive and finite is an error.
         """
         cond = np.asarray(cond, dtype=float)
         if cond.ndim != 2:
@@ -88,9 +88,12 @@ class TargetDistribution:
             seen_mask = np.ones(cond.shape[0], dtype=bool)
         else:
             seen_mask = np.asarray(seen_mask, dtype=bool).copy()
-        row_sums = cond.sum(axis=1)
-        if np.any(row_sums[seen_mask] <= 0):
-            raise ValueError("every seen input needs positive conditional weight")
+        # A sum that overflows is refused here, before any division.
+        with np.errstate(over="ignore"):
+            row_sums = cond.sum(axis=1)
+        seen_sums = row_sums[seen_mask]
+        if not np.all((seen_sums > 0) & (seen_sums < np.inf)):  # NaN fails too
+            raise ValueError("every seen input needs a positive, finite conditional weight sum")
         normalized = np.zeros_like(cond)
         normalized[seen_mask] = cond[seen_mask] / row_sums[seen_mask, None]
         return cls(cond=normalized, seen_mask=seen_mask)
@@ -221,7 +224,7 @@ def load_target_csv(path: str, n_inputs: int | None = None) -> TargetDistributio
     cond = np.zeros((1 << width, 2))
     for (b, a), w in weights.items():
         cond[b, a] = w
-    seen = cond.sum(axis=1) > 0
+    seen = cond.any(axis=1)  # weights are nonnegative
     if not seen.any():
         raise ValueError(f"target CSV {path} carries no mass")
     return TargetDistribution.from_conditionals(cond, seen_mask=seen)
@@ -237,4 +240,4 @@ def save_target_csv(target: TargetDistribution, path: str) -> None:
                 continue
             bits = format(b, f"0{target.n_inputs}b")
             for a in (0, 1):
-                writer.writerow([bits, a, repr(float(target.cond[b, a]))])
+                writer.writerow([bits, a, float(target.cond[b, a])])

@@ -173,6 +173,40 @@ class TestFit:
         assert first == second
 
 
+# One small run of every data experiment, with empty cells among them.
+SMALL_RUNS = {
+    "fit": {"n_min": 2, "n_max": 2, "fraction": 0.5},
+    "sweep": {"ansatz": ("linear", "quadratic"), "n_min": 2, "n_max": 3, "target": "majority"},
+    "generalize": {"n_min": 3, "n_max": 3, "fractions": (0.0, 0.5)},
+    "majority_ratios": {"n_min": 3, "n_max": 3, "target": "majority", "fraction": 0.5,
+                        "outcomes": 64},
+    "bp_stats": {"n_min": 3, "n_max": 3, "samples": 100, "m_sweep_n": 3},
+    "entropy": {"n_min": 3, "n_max": 3, "samples": 100},
+}
+
+
+@pytest.mark.parametrize("experiment", SMALL_RUNS)
+def test_csv_cells_are_the_rows_as_built(tmp_path, experiment):
+    # Each line is the experiment, its id, then the row's values as the
+    # csv module writes them: None (or a missing key) as '', a float as
+    # its repr, an int or a str as its str.  No value is a bool or a numpy
+    # scalar, whose text would differ.
+    config = ExperimentConfig(experiment, out_dir=str(tmp_path), **SMALL_RUNS[experiment])
+    output = run_experiment(config)
+    with open(output.csv_path, newline="") as handle:
+        header, *lines = csv.reader(handle)
+    assert header == ["experiment", "experiment_id",
+                      *dict.fromkeys(key for row in output.rows for key in row)]
+    assert len(lines) == len(output.rows)
+    for line, row in zip(lines, output.rows):
+        assert line[:2] == [experiment, output.experiment_id]
+        for column, cell in zip(header[2:], line[2:], strict=True):
+            value = row.get(column)
+            assert type(value) in (int, float, str, type(None)), (column, type(value))
+            assert cell == ("" if value is None else repr(value) if type(value) is float
+                            else str(value))
+
+
 class TestSweep:
     def test_majority_rows_and_aggregates(self, tmp_path):
         config = ExperimentConfig(
@@ -259,10 +293,10 @@ class TestMajorityRatios:
         expected = float(joint @ support)
         n_outcomes = 4096
         draws = sample_outcomes(out, n_outcomes, stream(3, "sampling"))
-        report = classify_outcomes(draws, full, masked.seen_mask)
+        hits_seen, hits_unseen = classify_outcomes(draws, full, masked.seen_mask)
         sigma = np.sqrt(n_outcomes * expected * (1.0 - expected))
-        assert abs(report.hits_total - n_outcomes * expected) < 4.0 * sigma
-        assert report.outcomes == n_outcomes
+        assert abs(hits_seen + hits_unseen - n_outcomes * expected) < 4.0 * sigma
+        assert draws.size == n_outcomes
 
 
 class TestStatsExperiments:
@@ -335,6 +369,10 @@ class TestCli:
             path = tmp_path / f"bad{index}.json"
             path.write_text(json.dumps(bad))
             config_argvs.append([experiment.replace("_", "-"), "--config", str(path)])
+        # A config file may not swap the subcommand's experiment.
+        other_experiment = tmp_path / "other_experiment.json"
+        other_experiment.write_text(json.dumps({"experiment": "sweep"}))
+        config_argvs.append(["fit", "--config", str(other_experiment)])
         for argv in (
             ["bp-stats", "--samples", "50"],
             ["entropy", "--samples", "10"],

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,14 @@ class TestSerialization:
             path.write_text(f"bitstring,output_bit,weight\n0,0,{weight}\n1,0,1\n")
             with pytest.raises(ValueError, match="not nonnegative"):
                 load_target_csv(path)
+        # An infinite weight, or two finite ones whose sum overflows, is
+        # refused before a row is divided by its sum, with no numpy warning.
+        for rows in ("0,0,inf\n0,1,1\n", "0,0,1e308\n0,1,1e308\n"):
+            path.write_text(f"bitstring,output_bit,weight\n{rows}1,0,1\n")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="finite conditional weight sum"):
+                    load_target_csv(path)
 
     def test_csv_too_wide_refused_before_sizing(self, tmp_path):
         # (2^24, 2) conditionals exceed MAX_ENTRIES; the first row decides.
