@@ -23,9 +23,7 @@ from .analysis import (
     GradientStats,
     fit_entropy_curve,
     gradient_statistics,
-    gradient_statistics_vs_m,
     mean_entropy,
-    target_entropy,
 )
 from .harness import (
     ExperimentConfig,

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ansatz import Ansatz, _row_blocks, effective_angles, flip_bits, sign_matrix
+from .ansatz import Ansatz, _row_blocks, flip_bits, sign_matrix
 from .optimize import _newton_core, _overlap_gap, _seen_system
 from .rng import stream
 from .targets import TargetDistribution
@@ -43,8 +43,6 @@ __all__ = [
     "ExpFit",
     "MIN_SAMPLE_COUNT",
     "gradient_statistics",
-    "gradient_statistics_vs_m",
-    "target_entropy",
     "mean_entropy",
     "fit_entropy_curve",
 ]
@@ -54,7 +52,7 @@ MIN_SAMPLE_COUNT = 100
 # The saturation model depends on its base a and rate b only through
 # b*ln(a), so the base is pinned by convention and only the rate and
 # offset are identifiable from data.
-DEFAULT_FIT_BASE = 1.2
+FIT_BASE = 1.2
 
 
 @dataclass(frozen=True)
@@ -115,8 +113,14 @@ def gradient_statistics(
     The first parameter (the initial rotation, sign +1 on every input) is
     used consistently across sweeps so that curves are comparable;
     ``param_index`` exists for spot checks against other components.
-    Each sample is dE/dp / (2 sqrt(E)) from ``_overlap_gap`` on its row
-    block, as ``optimize.gradient`` computes it for one draw.
+    Each sample is g = dE/dp / (2 sqrt(E)) from ``_overlap_gap`` on its
+    row block, as ``optimize.gradient`` computes it for one draw.
+
+    With E = 1 - |F|, F the mean of cos(theta_b - t_b) over the n_seen
+    seen inputs, g^2 = (dF/dp)^2 / (4 E).  Over uniform parameters
+    E[(dF/dp_k)^2] = 1/(2 n_seen) exactly for every k, because the seen
+    rows of S are pairwise distinct, so E[g^2] >= 1/(8 n_seen), nearly
+    equal once |F| is small (about 2^(-N/2)).
     """
     if sample_count < MIN_SAMPLE_COUNT:
         raise ValueError(f"sample_count must be >= {MIN_SAMPLE_COUNT}, got {sample_count}")
@@ -143,27 +147,6 @@ def gradient_statistics(
         gradient_variance=float(grads.var()),
         seed=seed,
     )
-
-
-def gradient_statistics_vs_m(
-    n_inputs: int,
-    target: TargetDistribution,
-    sample_count: int = 1000,
-    seed: int = 0,
-) -> list[GradientStats]:
-    """Statistics for every gate set between linear and quadratic.
-
-    Pair-controlled gates are appended one at a time in lexicographic
-    order, so the series has M_quadratic - M_linear + 1 entries and its
-    first entry is the plain linear statistic.
-    """
-    n_pairs = n_inputs * (n_inputs - 1) // 2
-    return [
-        gradient_statistics(
-            Ansatz.linear_with_pairs(n_inputs, extra), target, sample_count, seed
-        )
-        for extra in range(n_pairs + 1)
-    ]
 
 
 def _radius_entropy(radius: np.ndarray) -> np.ndarray:
@@ -208,13 +191,9 @@ def _linear_entropy(draws: np.ndarray) -> np.ndarray:
     return _radius_entropy(np.abs(double.prod(axis=1)))
 
 
-def target_entropy(ansatz: Ansatz, params) -> float:
-    """Base-2 entropy of the output qubit's reduced state."""
-    return float(_entropy(*effective_angles(ansatz, params)))
-
-
 def mean_entropy(ansatz: Ansatz, sample_count: int = 1000, seed: int = 0) -> EntropyStats:
-    """Monte Carlo average of ``target_entropy`` over uniform parameters.
+    """Monte Carlo average of the output qubit's entropy (``_entropy``)
+    over uniform parameters.
 
     An ansatz whose gates are exactly the linear family's single controls
     takes the closed form of ``_linear_entropy``; any other gate list is
@@ -247,20 +226,18 @@ def mean_entropy(ansatz: Ansatz, sample_count: int = 1000, seed: int = 0) -> Ent
     )
 
 
-def fit_entropy_curve(points: Sequence[tuple[float, float]], base: float = DEFAULT_FIT_BASE) -> ExpFit:
+def fit_entropy_curve(points: Sequence[tuple[float, float]]) -> ExpFit:
     """Least-squares fit of value(n) = 1 - a**(-b*(n - c)) to (n, value) pairs.
 
     Only the product b*ln(a) and the offset c are identifiable, so ``a``
-    is pinned to ``base`` and ``b`` reported relative to it.  The rate and
-    offset are initialized by linear regression of log(1 - value) on n and
-    polished with the damped Newton core on the exact Hessian.  Constant or
-    otherwise unfittable data comes back flagged degenerate rather than
-    raising.
+    is pinned to ``FIT_BASE`` and ``b`` reported relative to it.  The rate
+    and offset are initialized by linear regression of log(1 - value) on n
+    and polished with the damped Newton core on the exact Hessian.
+    Constant or otherwise unfittable data comes back flagged degenerate
+    rather than raising.
     """
     if len(points) < 4:
         raise ValueError(f"need at least 4 points to fit, got {len(points)}")
-    if base <= 1.0:
-        raise ValueError(f"base must exceed 1, got {base}")
     ns = np.array([p[0] for p in points], dtype=float)
     values = np.array([p[1] for p in points], dtype=float)
 
@@ -303,8 +280,8 @@ def fit_entropy_curve(points: Sequence[tuple[float, float]], base: float = DEFAU
         or float(values.max() - values.min()) < 1e-6
     )
     return ExpFit(
-        a=float(base),
-        b=rate / float(np.log(base)),
+        a=FIT_BASE,
+        b=rate / float(np.log(FIT_BASE)),
         c=offset,
         residual=rms,
         degenerate=bool(degenerate),

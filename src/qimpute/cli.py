@@ -145,8 +145,7 @@ def main(argv: list[str] | None = None) -> int:
             status = "PASS" if suite["passed"] else "FAIL"
             details = {k: v for k, v in suite.items() if k != "passed"}
             print(f"{status} {name} {json.dumps(details)}")
-        if path is not None:
-            print(f"report written to {path}")
+        print(f"report written to {path}")
         return 0 if report["passed"] else 1
 
     print(f"{output.experiment_id}: {len(output.rows)} rows -> {output.csv_path}")

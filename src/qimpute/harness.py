@@ -44,7 +44,6 @@ from .analysis import (
     MIN_SAMPLE_COUNT,
     fit_entropy_curve,
     gradient_statistics,
-    gradient_statistics_vs_m,
     mean_entropy,
 )
 from .ansatz import (
@@ -171,6 +170,12 @@ class ExperimentConfig:
                 if isinstance(item, bool) or not isinstance(item, allowed):
                     names = " or ".join(kind.__name__ for kind in allowed)
                     raise ConfigError(f"{name} must be {names}, got {item!r}")
+        # An int number is stored as the float it stands for, so that 0 and
+        # 0.0 get one experiment id and one cell text.
+        for name in ("fraction", "center", "sigma"):
+            if isinstance(getattr(self, name), int):
+                object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "fractions", tuple(map(float, self.fractions)))
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
         for kind in self.ansatz:
@@ -460,16 +465,13 @@ def run_generalize(config: ExperimentConfig) -> ExperimentOutput:
     rows: list[dict] = []
     for fit in _fits(config, run.violations, config.fractions):
         out = conditional_output(fit.ansatz, fit.params)
-        hid_inputs = fit.target.seen_mask.sum() < fit.full.seen_mask.sum()
-        d_unseen = (
-            restricted_distance(fit.full, out, "unseen", mask=fit.target.seen_mask).hellinger
-            if hid_inputs else None
-        )
+        seen = fit.target.seen_mask
+        hid_inputs = seen.sum() < fit.full.seen_mask.sum()
         rows.append(dict(
             fit.columns, fraction=fit.fraction, bound=fit.bound, d_h_opt=fit.distance,
-            d_h_seen=restricted_distance(fit.target, out, "seen").hellinger,
-            d_h_unseen=d_unseen,
-            d_h_full=restricted_distance(fit.full, out, "full").hellinger,
+            d_h_seen=restricted_distance(fit.target, out, seen),
+            d_h_unseen=restricted_distance(fit.full, out, ~seen) if hid_inputs else None,
+            d_h_full=restricted_distance(fit.full, out, np.ones_like(seen)),
         ))
     return run.write(rows)
 
@@ -535,10 +537,14 @@ def run_bp_stats(config: ExperimentConfig) -> ExperimentOutput:
             ansatz = getattr(Ansatz, kind)(n)
             add_row(kind, "vs_n", gradient_statistics(ansatz, target, config.samples, seed))
     if config.m_sweep_n is not None:
+        # Pair-controlled gates join the linear family one at a time, in
+        # lexicographic order, up to the quadratic family.
         n = config.m_sweep_n
         target = _build_target(config, n, seed)
-        for step, stats in enumerate(gradient_statistics_vs_m(n, target, config.samples, seed)):
-            add_row(f"linear+{step}pairs", "vs_m", stats)
+        for extra in range(n * (n - 1) // 2 + 1):
+            ansatz = Ansatz.linear_with_pairs(n, extra)
+            add_row(f"linear+{extra}pairs", "vs_m",
+                    gradient_statistics(ansatz, target, config.samples, seed))
     # Curves above fix the first parameter (the first row is the first
     # family at the smallest width); report (without asserting) how the
     # last component compares there.
@@ -589,6 +595,8 @@ def _random_points(label: str, widths, draws: int):
 
 
 def _validate_oracle(statevector_fn: Callable, draws: int = 50) -> dict:
+    """The oracle suite on ``statevector_fn``, a hook through which a test
+    proves the suite catches a perturbed analytic path."""
     worst = max(
         float(np.max(np.abs(statevector_fn(ansatz, params) - gate_level_oracle(ansatz, params))))
         for ansatz, params in _random_points("validate-oracle", range(2, 6), draws)
@@ -632,27 +640,20 @@ def _validate_exponential() -> dict:
     return {"passed": worst < 1e-8, "max_distance": worst, "tolerance": 1e-8}
 
 
-def run_validate(
-    config: ExperimentConfig | None = None,
-    statevector_fn: Callable = statevector,
-) -> tuple[dict, Path | None]:
+def run_validate(config: ExperimentConfig) -> tuple[dict, Path]:
     """End-to-end invariant suites: oracle, gradient, bounds, exact solve.
 
     Returns the machine-readable report and the path it was written to.
-    ``statevector_fn`` exists so tests can prove the oracle suite catches
-    a perturbed analytic path.
     """
     suites = {
-        "oracle_equivalence": _validate_oracle(statevector_fn),
+        "oracle_equivalence": _validate_oracle(statevector),
         "gradient_check": _validate_gradient(),
         "bound_compliance": _validate_bounds(),
         "exponential_exactness": _validate_exponential(),
     }
     report = {"suites": suites, "passed": all(s["passed"] for s in suites.values())}
-    path = None
-    if config is not None:
-        path = _out_dir(config) / "validation.json"
-        _write_json(path, report)
+    path = _out_dir(config) / "validation.json"
+    _write_json(path, report)
     return report, path
 
 

@@ -4,8 +4,8 @@ The working distance everywhere is d = sqrt(1 - BC) with BC(p, q) =
 sum_x sqrt(p_x q_x), or |<phi|psi>| for states.  The gap 1 - BC is
 computed as |u - v|^2 / 2 over the unit root or amplitude vectors u, v:
 nonnegative terms that keep their digits where 1 - BC rounds to noise.
-Restricted variants slice both distributions to one side of the
-seen/unseen split and renormalize each slice before comparing.
+The restricted distance slices both distributions to a subset of the
+inputs and renormalizes each slice before comparing.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ NORMALIZATION_TOL = 1e-9
 class DistanceReport(NamedTuple):
     hellinger: float
     bhattacharyya: float
-    support: str
 
 
 def _as_distribution(p, name: str) -> np.ndarray:
@@ -46,7 +45,7 @@ def _as_distribution(p, name: str) -> np.ndarray:
     return arr / total
 
 
-def hellinger(p, q, support: str = "full") -> DistanceReport:
+def hellinger(p, q) -> DistanceReport:
     """Distance sqrt(gap) between two probability vectors, with the gap
     1 - BC = sum((sqrt(p) - sqrt(q))^2) / 2 and BC reported as 1 - gap."""
     p = _as_distribution(p, "p")
@@ -55,7 +54,7 @@ def hellinger(p, q, support: str = "full") -> DistanceReport:
         raise ValueError(f"length mismatch: {p.size} vs {q.size}")
     diff = np.sqrt(p) - np.sqrt(q)
     gap = float(diff @ diff) / 2.0
-    return DistanceReport(hellinger=float(np.sqrt(gap)), bhattacharyya=1.0 - gap, support=support)
+    return DistanceReport(hellinger=float(np.sqrt(gap)), bhattacharyya=1.0 - gap)
 
 
 def state_distance(target: TargetDistribution, out: ConditionalOutput) -> float:
@@ -91,36 +90,23 @@ def worst_case_bound(n_params: int, n_inputs: int) -> float:
 
 
 def restricted_distance(
-    target: TargetDistribution,
-    out: ConditionalOutput,
-    support: str = "seen",
-    mask: np.ndarray | None = None,
-) -> DistanceReport:
-    """Distance after restricting both joints to one input subset.
+    target: TargetDistribution, out: ConditionalOutput, selected: np.ndarray
+) -> float:
+    """Distance after restricting both joints to the inputs ``selected``
+    (a bool mask over the inputs).
 
-    ``support`` selects the seen inputs, the unseen ones, or everything;
-    ``mask`` overrides the target's own seen mask (useful for scoring a
-    full reference distribution on the unseen half of a training split).
-    Both slices are renormalized to unit mass before comparison.
+    The mask need not be the target's own seen mask: a full reference
+    distribution can be scored on the inputs a training split hid.  Both
+    slices are renormalized to unit mass before comparison.
     """
     if out.amp0.size != target.n_states:
         raise ValueError("dimension mismatch between target and output")
-    if mask is None:
-        mask = target.seen_mask
-    if support == "seen":
-        selected = mask
-    elif support == "unseen":
-        selected = ~mask
-    elif support == "full":
-        selected = np.ones(target.n_states, dtype=bool)
-    else:
-        raise ValueError(f"support must be 'seen', 'unseen' or 'full', got {support!r}")
     if not selected.any():
-        raise ValueError(f"{support} support is empty")
+        raise ValueError("the selected support is empty")
 
     target_slice = target.probs[selected].ravel()
     target_mass = target_slice.sum()
     if target_mass <= 0:
-        raise ValueError(f"target carries no mass on the {support} support")
+        raise ValueError("target carries no mass on the selected support")
     output_slice = out.joint_probabilities()[selected].ravel()
-    return hellinger(target_slice / target_mass, output_slice / output_slice.sum(), support=support)
+    return hellinger(target_slice / target_mass, output_slice / output_slice.sum()).hellinger

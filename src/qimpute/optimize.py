@@ -130,16 +130,20 @@ def _overlap_gap(
     return (gap, d_gap, d2_gap) if curvature else (gap, d_gap)
 
 
-def _seen_overlap(ansatz: Ansatz, target: TargetDistribution):
-    """``gap(params) -> (E, dE/dparams)`` over the seen inputs; one forward
-    map and one adjoint per call.
+def _seen_goal(ansatz: Ansatz, target: TargetDistribution) -> np.ndarray:
+    """t_seen: the goal angles of the target's seen inputs."""
+    return adjusted_target_angles(ansatz, target)[target.seen_mask]
+
+
+def _seen_overlap(ansatz: Ansatz, target: TargetDistribution, seen_goal: np.ndarray):
+    """``gap(params) -> (E, dE/dparams)`` over the seen inputs, whose goal
+    angles are ``seen_goal``; one forward map and one adjoint per call.
 
     ``gap(params, curvature=True)`` appends the seen inputs' curvature
     weights w = d^2E/dr^2, so that the Hessian of E in the parameters is
     S_seen^T diag(w) S_seen.
     """
     seen = target.seen_mask
-    seen_goal = adjusted_target_angles(ansatz, target)[seen]
     d_angles = np.zeros(target.n_states)
 
     def gap(params, curvature=False):
@@ -154,7 +158,7 @@ def _seen_overlap(ansatz: Ansatz, target: TargetDistribution):
 
 def objective(ansatz: Ansatz, params, target: TargetDistribution) -> float:
     """Distance sqrt(E), E = 1 - |F| over the seen inputs from ``_overlap_gap``."""
-    value, _ = _seen_overlap(ansatz, target)(params)
+    value, _ = _seen_overlap(ansatz, target, _seen_goal(ansatz, target))(params)
     return float(np.sqrt(value))
 
 
@@ -165,7 +169,7 @@ def gradient(ansatz: Ansatz, params, target: TargetDistribution) -> np.ndarray:
     root is singular and the caller should treat the point as converged;
     a ValueError says so.
     """
-    e_value, e_grad = _seen_overlap(ansatz, target)(params)
+    e_value, e_grad = _seen_overlap(ansatz, target, _seen_goal(ansatz, target))(params)
     distance = np.sqrt(e_value)
     if distance <= EXACT_FIT_DISTANCE:
         raise ValueError(
@@ -182,8 +186,7 @@ def _seen_system(ansatz: Ansatz, target: TargetDistribution) -> tuple[np.ndarray
     """
     seen = target.seen_mask
     signs = sign_matrix(ansatz)
-    goal = adjusted_target_angles(ansatz, target)[seen]
-    return (signs if seen.all() else signs[seen]), goal
+    return (signs if seen.all() else signs[seen]), _seen_goal(ansatz, target)
 
 
 def _least_squares(signs: np.ndarray, goal: np.ndarray) -> np.ndarray:
@@ -290,8 +293,8 @@ def minimize(ansatz: Ansatz, target: TargetDistribution) -> OptimizeResult:
     target.  Non-convergence is reported through the ``converged`` flag,
     never raised.
     """
-    gap = _seen_overlap(ansatz, target)
     seen_signs, seen_goal = _seen_system(ansatz, target)
+    gap = _seen_overlap(ansatz, target, seen_goal)
 
     def fun(params):
         value, grad, weights = gap(params, curvature=True)
@@ -329,12 +332,11 @@ def solve_exponential(target: TargetDistribution) -> np.ndarray:
     return params
 
 
-def finite_difference_gradient(
-    ansatz: Ansatz, params, target: TargetDistribution, step: float = 1e-6
-) -> np.ndarray:
-    """Central-difference check value for ``gradient``; test use only."""
+def finite_difference_gradient(ansatz: Ansatz, params, target: TargetDistribution) -> np.ndarray:
+    """Central-difference check value for ``gradient``, step 1e-6."""
     params = _check_params(ansatz, params)
-    gap = _seen_overlap(ansatz, target)
+    gap = _seen_overlap(ansatz, target, _seen_goal(ansatz, target))
+    step = 1e-6
     out = np.empty(params.size)
     for i in range(params.size):
         bumped = params.copy()

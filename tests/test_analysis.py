@@ -4,27 +4,35 @@ from hypothesis import given, strategies as st
 
 import qimpute.ansatz
 from qimpute.analysis import (
+    _entropy,
     _linear_entropy,
     _radius_entropy,
     fit_entropy_curve,
     gradient_statistics,
-    gradient_statistics_vs_m,
     mean_entropy,
-    target_entropy,
 )
-from qimpute.ansatz import Ansatz, conditional_output, sign_matrix
-from qimpute.optimize import adjusted_target_angles, finite_difference_gradient, gradient
+from qimpute.ansatz import Ansatz, conditional_output, effective_angles, sign_matrix
+from qimpute.harness import ExperimentConfig, run_bp_stats
+from qimpute.optimize import (
+    _overlap_gap,
+    _seen_system,
+    adjusted_target_angles,
+    finite_difference_gradient,
+    gradient,
+)
 from qimpute.rng import stream
-from qimpute.targets import gaussian_target, mask_fraction, random_target
+from qimpute.targets import gaussian_target, majority_target, mask_fraction, random_target
 
 
 class TestTargetEntropy:
     def test_zero_parameters_give_maximal_mixing(self):
         for n in (1, 2, 3, 5):
-            assert target_entropy(Ansatz.linear(n), np.zeros(n + 1)) == pytest.approx(1.0, abs=1e-12)
+            entropy = _entropy(*effective_angles(Ansatz.linear(n), np.zeros(n + 1)))
+            assert entropy == pytest.approx(1.0, abs=1e-12)
 
     def test_single_input_quarter_turn_maximal(self):
-        assert target_entropy(Ansatz.linear(1), [0.0, np.pi / 4]) == pytest.approx(1.0, abs=1e-12)
+        entropy = _entropy(*effective_angles(Ansatz.linear(1), [0.0, np.pi / 4]))
+        assert entropy == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_quarter_angle_is_pure(self):
         # only the initial rotation set: flipped and unflipped blocks both
@@ -32,7 +40,8 @@ class TestTargetEntropy:
         for n in (2, 4):
             params = np.zeros(n + 1)
             params[0] = np.pi / 4
-            assert target_entropy(Ansatz.linear(n), params) == pytest.approx(0.0, abs=1e-12)
+            entropy = _entropy(*effective_angles(Ansatz.linear(n), params))
+            assert entropy == pytest.approx(0.0, abs=1e-12)
 
     def test_reduced_state_well_formed(self):
         rng = np.random.default_rng(0)
@@ -50,7 +59,7 @@ class TestTargetEntropy:
                 assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
                 eigenvalues = np.linalg.eigvalsh(rho)
                 assert eigenvalues.min() > -1e-12
-                entropy = target_entropy(ansatz, params)
+                entropy = _entropy(*effective_angles(ansatz, params))
                 assert 0.0 <= entropy <= 1.0 + 1e-12
 
 
@@ -93,7 +102,7 @@ class TestMeanEntropy:
         angle = st.floats(0.0, 2 * np.pi)
         params = np.array(data.draw(st.lists(angle, min_size=n + 1, max_size=n + 1)))
         closed = _linear_entropy(params[None, :].copy())[0]
-        general = target_entropy(Ansatz.linear(n), params)
+        general = _entropy(*effective_angles(Ansatz.linear(n), params))
         # The Bloch-sum path rounds each theta_b = S p, a sum of N+1 terms
         # up to sum |p_k|, which moves its Bloch radius by up to about
         # delta = (N + 2) eps sum |p_k|; near a pure state the entropy
@@ -162,6 +171,31 @@ class TestGradientStatistics:
             gradient_statistics(Ansatz.linear(4), target, sample_count=500, seed=6, param_index=5)
 
 
+@pytest.mark.parametrize("kind, n", [
+    ("linear", 3), ("linear", 8), ("quadratic", 5), ("exponential", 4),
+])
+@pytest.mark.parametrize("masked", [False, True], ids=["random", "masked-majority"])
+def test_gradient_second_moment_is_exact(kind, n, masked):
+    # F = mean cos(theta_b - t_b) over the n_seen seen inputs.  Over uniform
+    # parameters E[(dF/dp_k)^2] = 1/(2 n_seen) for every k: the seen rows of
+    # S are pairwise distinct, so each cross term has some p_j at twice its
+    # angle and averages out.  dE/dp_k = -sign(F) dF/dp_k has the same square.
+    ansatz = getattr(Ansatz, kind)(n)
+    target = mask_fraction(majority_target(n), 0.4, seed=n) if masked else random_target(n, n)
+    seen_signs, seen_goal = _seen_system(ansatz, target)
+    columns = seen_signs[:, [0, -1]]
+    rng = stream(n, "gradient-stats")
+    squares = []
+    for _ in range(8):
+        draws = rng.uniform(0, 2 * np.pi, (1000, ansatz.param_count))
+        _, d_gap = _overlap_gap(draws @ seen_signs.T - seen_goal)
+        squares.append((d_gap @ columns) ** 2)
+    squares = np.concatenate(squares)
+    standard_error = squares.std(axis=0) / np.sqrt(len(squares))
+    deviation = np.abs(squares.mean(axis=0) - 1.0 / (2 * seen_goal.size))
+    assert np.all(deviation < 5 * standard_error), (deviation, standard_error)
+
+
 def one_block_statistics(ansatz, target, sample_count, seed):
     """(mean |gradient|, gradient variance, mean entropy) from one samples x 2^N block."""
     signs = sign_matrix(ansatz)
@@ -208,22 +242,28 @@ def test_chunked_statistics_match_one_block(monkeypatch, kind, budget):
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def gate_sweep_rows(n, sample_count, seed, out_dir):
+    """The ``bp_stats`` gate-count sweep rows at width ``n`` on the gaussian target."""
+    config = ExperimentConfig("bp_stats", n_min=2, n_max=2, samples=sample_count,
+                              seeds=(seed,), m_sweep_n=n, out_dir=str(out_dir))
+    return [row for row in run_bp_stats(config).rows if row["mode"] == "vs_m"]
+
+
 class TestGradientStatisticsSweep:
-    def test_series_shape_and_endpoints(self):
+    def test_series_shape_and_endpoints(self, tmp_path):
         n = 5
-        target = gaussian_target(n)
-        series = gradient_statistics_vs_m(n, target, sample_count=200, seed=4)
+        series = gate_sweep_rows(n, 200, 4, tmp_path)
         n_pairs = n * (n - 1) // 2
         assert len(series) == n_pairs + 1
-        assert series[0] == gradient_statistics(Ansatz.linear(n), target, 200, seed=4)
-        assert series[-1].n_params == Ansatz.quadratic(n).param_count
-        counts = [s.n_params for s in series]
+        linear = gradient_statistics(Ansatz.linear(n), gaussian_target(n), 200, seed=4)
+        assert series[0]["gradient_variance"] == linear.gradient_variance
+        assert series[0]["mean_abs_gradient"] == linear.mean_abs_gradient
+        assert series[-1]["m"] == Ansatz.quadratic(n).param_count
+        counts = [row["m"] for row in series]
         assert counts == list(range(n + 1, n + 1 + n_pairs + 1))
 
-    def test_variation_stays_bounded(self):
-        n = 6
-        series = gradient_statistics_vs_m(n, gaussian_target(n), sample_count=1000, seed=1)
-        variances = [s.gradient_variance for s in series]
+    def test_variation_stays_bounded(self, tmp_path):
+        variances = [row["gradient_variance"] for row in gate_sweep_rows(6, 1000, 1, tmp_path)]
         assert max(variances) / min(variances) < 4.0
 
 
@@ -253,11 +293,3 @@ class TestEntropyFit:
     def test_needs_four_points(self):
         with pytest.raises(ValueError):
             fit_entropy_curve([(3, 0.5), (4, 0.6), (5, 0.7)])
-
-    def test_base_pinned(self):
-        ns = np.arange(3, 11, dtype=float)
-        values = 1.0 - 1.2 ** (-3.2 * (ns - 0.8))
-        fit = fit_entropy_curve(list(zip(ns, values)), base=2.0)
-        assert fit.a == 2.0
-        # same decay, expressed against the other base
-        assert fit.b * np.log(2.0) == pytest.approx(3.2 * np.log(1.2), rel=1e-6)

@@ -488,6 +488,24 @@ class TestCli:
         first, second = (list((tmp_path / str(i)).glob("fit-*.csv")) for i in (0, 1))
         assert [path.name for path in first] == [path.name for path in second]
 
+    @pytest.mark.parametrize("argv, file_values, flags, cells", [
+        (["majority-ratios"], {"fraction": 0}, ["--fraction", "0"], ["0.0"]),
+        (["generalize"], {"fractions": [0, 0.5]}, ["--fractions", "0,0.5"], ["0.0", "0.5"]),
+    ], ids=["fraction", "fractions"])
+    def test_int_and_float_numbers_get_one_id(self, argv, file_values, flags, cells, tmp_path,
+                                              capsys):
+        # A config file's 0 and a flag's 0.0 are one number: one id, one cell text.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(file_values))
+        written = []
+        for way, extra in (("file", ["--config", str(config_path)]), ("flag", flags)):
+            out = tmp_path / way
+            assert main([*argv, *extra, "--n", "3", "--out", str(out)]) == 0
+            (path,) = out.glob("*.csv")
+            written.append((path.name, [row["fraction"] for row in read_rows(path)]))
+        assert written[0] == written[1]
+        assert written[0][1] == cells
+
     def test_readme_memory_budget_matches_check(self):
         readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
         (cap,) = re.findall(r"holds more than 2\^(\d+) entries", readme)

@@ -126,10 +126,9 @@ class TestRestrictedDistance:
     def test_full_mask_seen_equals_plain(self):
         target = gaussian_target(3)
         out = conditional_output(Ansatz.linear(3), np.full(4, 0.4))
-        report = restricted_distance(target, out, "seen")
+        distance = restricted_distance(target, out, target.seen_mask)
         plain = hellinger(target.probs.ravel(), out.joint_probabilities().ravel())
-        assert report.hellinger == pytest.approx(plain.hellinger, abs=1e-12)
-        assert report.support == "seen"
+        assert distance == pytest.approx(plain.hellinger, abs=1e-12)
 
     def test_perfect_seen_fit_scores_zero_despite_holes(self):
         # target built from the circuit's own output on the seen inputs
@@ -140,20 +139,22 @@ class TestRestrictedDistance:
         cond = np.stack([out.amp0 ** 2, out.amp1 ** 2], axis=1)
         seen = np.array([True, False, True, True, False, True, False, True])
         target = TargetDistribution.from_conditionals(cond, seen_mask=seen)
-        assert restricted_distance(target, out, "seen").hellinger < 1e-12
+        assert restricted_distance(target, out, seen) < 1e-12
 
     def test_unseen_support_in_range(self):
         full = gaussian_target(4)
         masked = mask_fraction(full, 0.7, seed=6)
         out = conditional_output(Ansatz.linear(4), np.full(5, 0.2))
-        report = restricted_distance(full, out, "unseen", mask=masked.seen_mask)
-        assert 0.0 <= report.hellinger <= 1.0
-        assert report.support == "unseen"
+        assert 0.0 <= restricted_distance(full, out, ~masked.seen_mask) <= 1.0
 
     def test_empty_support_rejected(self):
         target = gaussian_target(2)
         out = conditional_output(Ansatz.linear(2), np.zeros(3))
-        with pytest.raises(ValueError):
-            restricted_distance(target, out, "unseen")
-        with pytest.raises(ValueError):
-            restricted_distance(target, out, "nearby")
+        with pytest.raises(ValueError, match="empty"):
+            restricted_distance(target, out, ~target.seen_mask)
+        # The hidden inputs of a masked target carry none of its mass.
+        masked = mask_fraction(gaussian_target(2), 0.5, seed=1)
+        with pytest.raises(ValueError, match="no mass"):
+            restricted_distance(masked, out, ~masked.seen_mask)
+        with pytest.raises(ValueError, match="dimension"):
+            restricted_distance(gaussian_target(3), out, np.ones(8, dtype=bool))

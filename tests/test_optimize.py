@@ -100,8 +100,8 @@ class TestExactForms:
         seen[[1, 6, 11]] = False
         ansatz, params, target = near_exact_fit(gap, 1, seen_mask=seen)
         distance = objective(ansatz, params, target)
-        seen_hellinger = restricted_distance(target, conditional_output(ansatz, params), "seen")
-        assert distance == pytest.approx(seen_hellinger.hellinger, rel=1e-6, abs=0.0)
+        seen_hellinger = restricted_distance(target, conditional_output(ansatz, params), seen)
+        assert distance == pytest.approx(seen_hellinger, rel=1e-6, abs=0.0)
         assert distance == pytest.approx(np.sqrt(gap), rel=0.5, abs=0.0)
 
     @pytest.mark.parametrize("gap", GAPS)
