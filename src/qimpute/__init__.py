@@ -9,7 +9,6 @@ flattening and output-qubit entanglement.
 
 from .ansatz import (
     Ansatz,
-    ConditionalOutput,
     conditional_output,
     effective_angles,
     flip_bits,

@@ -52,7 +52,6 @@ __all__ = [
     "ANSATZ_KINDS",
     "MAX_ENTRIES",
     "Ansatz",
-    "ConditionalOutput",
     "param_count",
     "check_sign_matrix_size",
     "effective_angles",
@@ -235,14 +234,14 @@ def _phases(ansatz: Ansatz):
         yield phase
 
 
-def effective_angles(ansatz: Ansatz, params) -> tuple[np.ndarray, np.ndarray]:
-    """Vector of theta_b over all 2^N bitstrings, plus the flip bits.
+def effective_angles(ansatz: Ansatz, params) -> np.ndarray:
+    """Vector of theta_b over all 2^N bitstrings.
 
     One product with the instance's cached sign matrix: O(M * 2^N) time
     per call, on top of the O(M * 2^N) memory the cache holds for the
-    life of the ``Ansatz``.  The flip bits are the cached read-only array.
+    life of the ``Ansatz``.
     """
-    return ansatz.signs @ _check_params(ansatz, params), ansatz.flips
+    return ansatz.signs @ _check_params(ansatz, params)
 
 
 def flip_bits(ansatz: Ansatz) -> np.ndarray:
@@ -264,41 +263,26 @@ def project_signs(ansatz: Ansatz, values: np.ndarray) -> np.ndarray:
     return values @ ansatz.signs
 
 
-@dataclass(frozen=True)
-class ConditionalOutput:
-    """Output-qubit amplitudes conditioned on each input bitstring.
+def conditional_output(ansatz: Ansatz, params) -> np.ndarray:
+    """Every block applied to |0>: the (2^N, 2) amplitudes out[b, a] of
+    output bit a given input b, laid out like a target's conditionals.
 
-    For input b the output qubit carries (amp0[b], amp1[b]), a unit vector;
-    amp0[b]**2 is the probability of reading 0 given b.
+    Row b is (cos theta_b, sin theta_b), swapped where the block flips, so
+    out ** 2 holds the conditionals p(a|b) and out ** 2 / 2^N the joint.
     """
-
-    amp0: np.ndarray
-    amp1: np.ndarray
-
-    def joint_probabilities(self) -> np.ndarray:
-        """Joint (input, output-bit) probabilities, shape (2^N, 2), sum 1."""
-        n_states = self.amp0.size
-        return np.stack([self.amp0 ** 2, self.amp1 ** 2], axis=1) / n_states
-
-
-def conditional_output(ansatz: Ansatz, params) -> ConditionalOutput:
-    """Evaluate every block on |0>: (cos, sin) of theta, swapped where flipped."""
-    theta, flipped = effective_angles(ansatz, params)
-    c, s = np.cos(theta), np.sin(theta)
-    return ConditionalOutput(amp0=np.where(flipped, s, c), amp1=np.where(flipped, c, s))
+    theta = effective_angles(ansatz, params)
+    out = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    out[ansatz.flips] = out[ansatz.flips, ::-1]
+    return out
 
 
 def statevector(ansatz: Ansatz, params) -> np.ndarray:
     """Full amplitude vector of length 2^(N+1) over basis states |b>|a>.
 
     The input register is weighted uniformly (Hadamard preparation), so the
-    amplitude at index 2*b + a is amp_a(b) / sqrt(2^N).  A width whose sign
-    matrix exceeds ``MAX_ENTRIES`` raises ValueError before anything is allocated.
+    amplitude at index 2*b + a, the C order of ``conditional_output``, is
+    out[b, a] / sqrt(2^N).  A width whose sign matrix exceeds
+    ``MAX_ENTRIES`` raises ValueError before anything is allocated.
     """
     out = conditional_output(ansatz, params)
-    n_states = out.amp0.size
-    state = np.empty(2 * n_states)
-    norm = 1.0 / np.sqrt(n_states)
-    state[0::2] = out.amp0 * norm
-    state[1::2] = out.amp1 * norm
-    return state
+    return out.ravel() / np.sqrt(out.shape[0])

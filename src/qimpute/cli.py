@@ -133,14 +133,15 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _resolve_config(args)
-        if config.experiment != "validate":
+        if config.experiment == "validate":
+            report, path = run_validate(config)
+        else:
             output = run_experiment(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     if config.experiment == "validate":
-        report, path = run_validate(config)
         for name, suite in report["suites"].items():
             status = "PASS" if suite["passed"] else "FAIL"
             details = {k: v for k, v in suite.items() if k != "passed"}

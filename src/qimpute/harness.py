@@ -50,7 +50,6 @@ from .ansatz import (
     ANSATZ_KINDS,
     MAX_ENTRIES,
     Ansatz,
-    ConditionalOutput,
     check_sign_matrix_size,
     conditional_output,
     statevector,
@@ -90,8 +89,6 @@ __all__ = [
     "run_validate",
     "run_experiment",
     "fields_read",
-    "sample_outcomes",
-    "classify_outcomes",
 ]
 
 OUTPUT_DIR_ENV = "QIMPUTE_OUT_DIR"
@@ -259,9 +256,13 @@ class ExperimentOutput:
 
 
 def _out_dir(config: ExperimentConfig) -> Path:
-    root = config.out_dir or os.environ.get(OUTPUT_DIR_ENV) or "results"
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
+    """The run's output directory, created when the run starts, so that one
+    that cannot be is a ConfigError before any work."""
+    path = Path(config.out_dir or os.environ.get(OUTPUT_DIR_ENV) or "results")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
     return path
 
 
@@ -287,11 +288,12 @@ def _write_json(path: Path, payload: dict) -> None:
 class _Run:
     """The envelope of one data experiment.
 
-    Created when the run starts: it hashes the experiment id, starts the
-    clock and holds the bound violations the run's fits append.  ``write``
-    writes the CSV and the sidecar.  Each CSV line is the experiment, its
-    id, then the runner's row as built; the rest of the header is the rows'
-    keys in first-seen order, so a runner's row dicts fix its column order.
+    Created when the run starts: it creates the output directory, hashes
+    the experiment id, starts the clock and holds the bound violations the
+    run's fits append.  ``write`` writes the CSV and the sidecar.  Each CSV
+    line is the experiment, its id, then the runner's row as built; the
+    rest of the header is the rows' keys in first-seen order, so a runner's
+    row dicts fix its column order.
     Row values are Python scalars, which the csv module writes as they are:
     a float as its shortest round-trip ``repr``, an int or a str as
     ``str``, and None, like a key the row lacks, as an empty cell.
@@ -300,6 +302,7 @@ class _Run:
     def __init__(self, config: ExperimentConfig) -> None:
         self.started = time.perf_counter()
         self.config = config
+        self.out_dir = _out_dir(config)
         # JSON writes the tuple fields as lists.
         self.resolved = asdict(config)
         # The id names the scientific configuration; where it lands on
@@ -314,7 +317,7 @@ class _Run:
         header = list(dict.fromkeys(chain.from_iterable(rows)))
         lead = (self.config.experiment, self.experiment_id)
         aggregates = aggregates or {}
-        csv_path = _out_dir(self.config) / f"{self.experiment_id}.csv"
+        csv_path = self.out_dir / f"{self.experiment_id}.csv"
 
         def write_rows(handle: IO[str]) -> None:
             writer = csv.writer(handle, lineterminator="\n")
@@ -417,7 +420,7 @@ def run_fit(config: ExperimentConfig) -> ExperimentOutput:
     for fit in _fits(config, run.violations, (config.fraction,)):
         columns = fit.columns
         width = f"0{fit.ansatz.n_inputs}b"
-        joint_circuit = conditional_output(fit.ansatz, fit.params).joint_probabilities()
+        joint_circuit = conditional_output(fit.ansatz, fit.params) ** 2 / fit.target.n_states
         # Flat lists in (input, output bit) order, read in step with the rows.
         target_probs = iter(fit.target.probs.ravel().tolist())
         circuit_probs = iter(joint_circuit.ravel().tolist())
@@ -476,37 +479,20 @@ def run_generalize(config: ExperimentConfig) -> ExperimentOutput:
     return run.write(rows)
 
 
-def sample_outcomes(out: ConditionalOutput, n_outcomes: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw (input, output) basis indices from the circuit's joint output."""
-    joint = out.joint_probabilities().ravel()
-    return rng.choice(joint.size, size=n_outcomes, p=joint / joint.sum())
-
-
-def classify_outcomes(
-    draws: np.ndarray, reference: TargetDistribution, split_mask: np.ndarray
-) -> tuple[int, int]:
-    """Rule-correct draws as (hits_seen, hits_unseen).
-
-    A draw counts as rule-correct when the reference distribution puts
-    positive mass on its (input, output) pair; the split mask decides
-    whether a correct draw lands in the seen or the unseen tally.  Seen
-    draws with a rule-violating output count as plain errors.
-    """
-    inputs = draws >> 1
-    outputs = draws & 1
-    correct = reference.probs[inputs, outputs] > 0
-    seen = split_mask[inputs]
-    return int(np.count_nonzero(correct & seen)), int(np.count_nonzero(correct & ~seen))
-
-
 def run_majority_ratios(config: ExperimentConfig) -> ExperimentOutput:
-    """Train on a masked rule target, sample the circuit, count rule-correct draws."""
+    """Train on a masked rule target, sample the circuit's joint output (a
+    draw is the basis index 2b + a), and count the draws the unmasked rule
+    allows, as seen or unseen by the training mask at b."""
     run = _Run(config)
     rows: list[dict] = []
     for fit in _fits(config, run.violations, (config.fraction,)):
-        out = conditional_output(fit.ansatz, fit.params)
-        draws = sample_outcomes(out, config.outcomes, stream(fit.seed, "sampling"))
-        hits_seen, hits_unseen = classify_outcomes(draws, fit.full, fit.target.seen_mask)
+        joint = (conditional_output(fit.ansatz, fit.params) ** 2 / fit.target.n_states).ravel()
+        draws = stream(fit.seed, "sampling").choice(joint.size, size=config.outcomes,
+                                                    p=joint / joint.sum())
+        correct = fit.full.probs.ravel()[draws] > 0
+        seen = fit.target.seen_mask[draws >> 1]
+        hits_seen = int(np.count_nonzero(correct & seen))
+        hits_unseen = int(np.count_nonzero(correct & ~seen))
         hits_total = hits_seen + hits_unseen
         rows.append(dict(
             fit.columns, fraction=fit.fraction, outcomes=config.outcomes,
@@ -645,6 +631,7 @@ def run_validate(config: ExperimentConfig) -> tuple[dict, Path]:
 
     Returns the machine-readable report and the path it was written to.
     """
+    path = _out_dir(config) / "validation.json"
     suites = {
         "oracle_equivalence": _validate_oracle(statevector),
         "gradient_check": _validate_gradient(),
@@ -652,7 +639,6 @@ def run_validate(config: ExperimentConfig) -> tuple[dict, Path]:
         "exponential_exactness": _validate_exponential(),
     }
     report = {"suites": suites, "passed": all(s["passed"] for s in suites.values())}
-    path = _out_dir(config) / "validation.json"
     _write_json(path, report)
     return report, path
 

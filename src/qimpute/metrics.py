@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ansatz import ConditionalOutput
 from .targets import TargetDistribution
 
 __all__ = [
@@ -37,10 +36,10 @@ class DistanceReport(NamedTuple):
 
 def _as_distribution(p, name: str) -> np.ndarray:
     arr = np.asarray(p, dtype=float).ravel()
-    if np.any(arr < 0):
-        raise ValueError(f"{name} has negative entries")
+    if not np.all(arr >= 0):  # NaN fails too
+        raise ValueError(f"{name} has negative or NaN entries")
     total = arr.sum()
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:
         raise ValueError(f"{name} sums to {total}, not 1")
     return arr / total
 
@@ -57,20 +56,22 @@ def hellinger(p, q) -> DistanceReport:
     return DistanceReport(hellinger=float(np.sqrt(gap)), bhattacharyya=1.0 - gap)
 
 
-def state_distance(target: TargetDistribution, out: ConditionalOutput) -> float:
+def _check_output(target: TargetDistribution, out: np.ndarray) -> None:
+    if out.shape != target.cond.shape:
+        raise ValueError(f"dimension mismatch: output has shape {out.shape}, "
+                         f"target conditionals {target.cond.shape}")
+
+
+def state_distance(target: TargetDistribution, out: np.ndarray) -> float:
     """Overlap distance sqrt(1 - |F|) between target state and circuit state.
 
     F = u.v for the target's root vector u = sqrt(p(b, a)) and the circuit
-    amplitudes v = amp_a(b) / sqrt(2^N); the gap is computed as
-    1 - |F| = min(|u - v|^2, |u + v|^2) / 2.
+    amplitudes v = out[b, a] / sqrt(2^N) of ``conditional_output``; the gap
+    is computed as 1 - |F| = min(|u - v|^2, |u + v|^2) / 2.
     """
-    if out.amp0.size != target.n_states:
-        raise ValueError(
-            f"dimension mismatch: output has {out.amp0.size} inputs, "
-            f"target has {target.n_states}"
-        )
+    _check_output(target, out)
     u = np.sqrt(target.probs).ravel()
-    v = np.stack([out.amp0, out.amp1], axis=1).ravel() / np.sqrt(target.n_states)
+    v = out.ravel() / np.sqrt(target.n_states)
     below, above = u - v, u + v
     return float(np.sqrt(min(below @ below, above @ above) / 2.0))
 
@@ -90,17 +91,17 @@ def worst_case_bound(n_params: int, n_inputs: int) -> float:
 
 
 def restricted_distance(
-    target: TargetDistribution, out: ConditionalOutput, selected: np.ndarray
+    target: TargetDistribution, out: np.ndarray, selected: np.ndarray
 ) -> float:
     """Distance after restricting both joints to the inputs ``selected``
-    (a bool mask over the inputs).
+    (a bool mask over the inputs); ``out`` is ``conditional_output``'s
+    (2^N, 2) amplitude array.
 
     The mask need not be the target's own seen mask: a full reference
     distribution can be scored on the inputs a training split hid.  Both
     slices are renormalized to unit mass before comparison.
     """
-    if out.amp0.size != target.n_states:
-        raise ValueError("dimension mismatch between target and output")
+    _check_output(target, out)
     if not selected.any():
         raise ValueError("the selected support is empty")
 
@@ -108,5 +109,5 @@ def restricted_distance(
     target_mass = target_slice.sum()
     if target_mass <= 0:
         raise ValueError("target carries no mass on the selected support")
-    output_slice = out.joint_probabilities()[selected].ravel()
+    output_slice = (out[selected] ** 2 / target.n_states).ravel()
     return hellinger(target_slice / target_mass, output_slice / output_slice.sum()).hellinger

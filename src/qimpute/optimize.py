@@ -147,7 +147,7 @@ def _seen_overlap(ansatz: Ansatz, target: TargetDistribution, seen_goal: np.ndar
     d_angles = np.zeros(target.n_states)
 
     def gap(params, curvature=False):
-        theta, _ = effective_angles(ansatz, params)
+        theta = effective_angles(ansatz, params)
         residual = theta[seen]
         residual -= seen_goal
         value, d_angles[seen], *weights = _overlap_gap(residual, curvature)

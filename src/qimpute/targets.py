@@ -104,7 +104,9 @@ def gaussian_target(n_inputs: int, center: float | None = None, sigma: float | N
 
     Defaults follow the narrow literal form: center (N-1)/2 and variance 1/2,
     with peak weight 1/sqrt(2*pi).  Both are overridable, the center with a
-    finite value and sigma with a positive one.
+    finite value and sigma with a positive one whose 2 sigma^2 is positive
+    and finite in float64.  An input too far from the center for its
+    squared distance to be finite gets weight 0.
     """
     if n_inputs < 1:
         raise ValueError(f"n_inputs must be >= 1, got {n_inputs}")
@@ -112,11 +114,13 @@ def gaussian_target(n_inputs: int, center: float | None = None, sigma: float | N
         center = (n_inputs - 1) / 2.0
     if not np.isfinite(center):
         raise ValueError(f"center must be finite, got {center}")
-    if sigma is not None and not sigma > 0:  # NaN fails too
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    variance = 0.5 if sigma is None else float(sigma) ** 2
+    with np.errstate(over="ignore"):
+        spread = 1.0 if sigma is None else 2.0 * np.float64(sigma) ** 2
+    if sigma is not None and not (sigma > 0 and 0.0 < spread < np.inf):  # NaN fails too
+        raise ValueError(f"sigma must be positive with 2 sigma^2 positive and finite, got {sigma}")
     n = np.arange(1 << n_inputs, dtype=float)
-    w0 = np.exp(-((n - center) ** 2) / (2.0 * variance)) / np.sqrt(2.0 * np.pi)
+    with np.errstate(over="ignore"):
+        w0 = np.exp(-((n - center) ** 2) / spread) / np.sqrt(2.0 * np.pi)
     cond = np.stack([w0, 1.0 - w0], axis=1)
     return TargetDistribution.from_conditionals(cond)
 

@@ -27,11 +27,11 @@ from qimpute.targets import gaussian_target, majority_target, mask_fraction, ran
 class TestTargetEntropy:
     def test_zero_parameters_give_maximal_mixing(self):
         for n in (1, 2, 3, 5):
-            entropy = _entropy(*effective_angles(Ansatz.linear(n), np.zeros(n + 1)))
+            entropy = _entropy(effective_angles(Ansatz.linear(n), np.zeros(n + 1)), Ansatz.linear(n).flips)
             assert entropy == pytest.approx(1.0, abs=1e-12)
 
     def test_single_input_quarter_turn_maximal(self):
-        entropy = _entropy(*effective_angles(Ansatz.linear(1), [0.0, np.pi / 4]))
+        entropy = _entropy(effective_angles(Ansatz.linear(1), [0.0, np.pi / 4]), Ansatz.linear(1).flips)
         assert entropy == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_quarter_angle_is_pure(self):
@@ -40,7 +40,7 @@ class TestTargetEntropy:
         for n in (2, 4):
             params = np.zeros(n + 1)
             params[0] = np.pi / 4
-            entropy = _entropy(*effective_angles(Ansatz.linear(n), params))
+            entropy = _entropy(effective_angles(Ansatz.linear(n), params), Ansatz.linear(n).flips)
             assert entropy == pytest.approx(0.0, abs=1e-12)
 
     def test_reduced_state_well_formed(self):
@@ -50,16 +50,11 @@ class TestTargetEntropy:
             for _ in range(25):
                 params = rng.uniform(0, 2 * np.pi, ansatz.param_count)
                 out = conditional_output(ansatz, params)
-                rho = np.array(
-                    [
-                        [(out.amp0 ** 2).mean(), (out.amp0 * out.amp1).mean()],
-                        [(out.amp0 * out.amp1).mean(), (out.amp1 ** 2).mean()],
-                    ]
-                )
+                rho = out.T @ out / len(out)
                 assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
                 eigenvalues = np.linalg.eigvalsh(rho)
                 assert eigenvalues.min() > -1e-12
-                entropy = _entropy(*effective_angles(ansatz, params))
+                entropy = _entropy(effective_angles(ansatz, params), ansatz.flips)
                 assert 0.0 <= entropy <= 1.0 + 1e-12
 
 
@@ -102,7 +97,7 @@ class TestMeanEntropy:
         angle = st.floats(0.0, 2 * np.pi)
         params = np.array(data.draw(st.lists(angle, min_size=n + 1, max_size=n + 1)))
         closed = _linear_entropy(params[None, :].copy())[0]
-        general = _entropy(*effective_angles(Ansatz.linear(n), params))
+        general = _entropy(effective_angles(Ansatz.linear(n), params), Ansatz.linear(n).flips)
         # The Bloch-sum path rounds each theta_b = S p, a sum of N+1 terms
         # up to sum |p_k|, which moves its Bloch radius by up to about
         # delta = (N + 2) eps sum |p_k|; near a pure state the entropy
@@ -213,9 +208,8 @@ def one_block_statistics(ansatz, target, sample_count, seed):
 
 
 def eigenvalue_entropy(out):
-    """Base-2 entropy of the input-averaged projector onto (amp0, amp1)."""
-    amps = np.stack([out.amp0, out.amp1])
-    lams = np.clip(np.linalg.eigvalsh(amps @ amps.T / out.amp0.size), 0.0, 1.0)
+    """Base-2 entropy of the input-averaged projector onto each row of ``out``."""
+    lams = np.clip(np.linalg.eigvalsh(out.T @ out / len(out)), 0.0, 1.0)
     lams = lams[lams > 0]
     return float(-(lams * np.log2(lams)).sum())
 

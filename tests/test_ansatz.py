@@ -74,8 +74,7 @@ def dense_oracle(ansatz, params):
 
 def block(ansatz, params, value):
     """(flip, angle) of one input's block, read off ``effective_angles``."""
-    theta, flips = effective_angles(ansatz, params)
-    return int(flips[value]), theta[value]
+    return int(flip_bits(ansatz)[value]), effective_angles(ansatz, params)[value]
 
 
 def test_param_counts():
@@ -142,7 +141,7 @@ class TestBlockRotation:
         for kind in ("linear", "quadratic", "exponential"):
             ansatz = getattr(Ansatz, kind)(4)
             params = rng.uniform(0, 2 * np.pi, ansatz.param_count)
-            theta, flips = effective_angles(ansatz, params)
+            theta, flips = effective_angles(ansatz, params), flip_bits(ansatz)
             for value in range(16):
                 flip, angle = walk_block(ansatz, params, value)
                 assert angle == pytest.approx(theta[value], abs=1e-12)
@@ -153,8 +152,8 @@ class TestBlockRotation:
         ansatz = Ansatz.quadratic(3)
         x = rng.uniform(-2, 2, ansatz.param_count)
         y = rng.uniform(-2, 2, ansatz.param_count)
-        combined, _ = effective_angles(ansatz, 1.5 * x + 0.25 * y)
-        parts = 1.5 * effective_angles(ansatz, x)[0] + 0.25 * effective_angles(ansatz, y)[0]
+        combined = effective_angles(ansatz, 1.5 * x + 0.25 * y)
+        parts = 1.5 * effective_angles(ansatz, x) + 0.25 * effective_angles(ansatz, y)
         assert np.allclose(combined, parts, rtol=0.0, atol=1e-12)
 
     def test_dimension_mismatch(self):
@@ -197,11 +196,10 @@ def test_sign_views_agree():
         signs = sign_matrix(ansatz)
         params = rng.uniform(-2, 2, ansatz.param_count)
         values = rng.uniform(-1, 1, signs.shape[0])
-        theta, flips = effective_angles(ansatz, params)
+        theta = effective_angles(ansatz, params)
         assert np.allclose(theta, signs @ params, rtol=0.0, atol=1e-12)
         assert np.allclose(project_signs(ansatz, values), signs.T @ values, rtol=0.0, atol=1e-12)
-        assert np.array_equal(flips, signs[:, -1] < 0)
-        assert np.array_equal(flip_bits(ansatz), flips)
+        assert np.array_equal(flip_bits(ansatz), signs[:, -1] < 0)
 
 
 def test_sign_matrix_built_once_and_read_only(monkeypatch):
@@ -233,13 +231,13 @@ class TestConditionalOutput:
         for n in range(1, 6):
             out = conditional_output(Ansatz.linear(n), np.zeros(n + 1))
             parity = flip_bits(Ansatz.linear(n))
-            assert np.allclose(out.amp0, np.where(parity, 0.0, 1.0))
-            assert np.allclose(out.amp1, np.where(parity, 1.0, 0.0))
+            assert np.allclose(out[:, 0], np.where(parity, 0.0, 1.0))
+            assert np.allclose(out[:, 1], np.where(parity, 1.0, 0.0))
 
     def test_single_input_quarter_turn(self):
         out = conditional_output(Ansatz.linear(1), [np.pi / 4, 0.0])
-        assert out.amp0[0] == pytest.approx(np.cos(np.pi / 4))
-        assert out.amp1[0] == pytest.approx(np.sin(np.pi / 4))
+        assert out[0, 0] == pytest.approx(np.cos(np.pi / 4))
+        assert out[0, 1] == pytest.approx(np.sin(np.pi / 4))
 
     def test_rows_normalized(self):
         rng = np.random.default_rng(3)
@@ -247,8 +245,9 @@ class TestConditionalOutput:
             ansatz = getattr(Ansatz, kind)(5)
             params = rng.uniform(0, 2 * np.pi, ansatz.param_count)
             out = conditional_output(ansatz, params)
-            assert np.max(np.abs(out.amp0 ** 2 + out.amp1 ** 2 - 1.0)) < 1e-12
-            joint = out.joint_probabilities()
+            assert out.shape == (32, 2)
+            assert np.max(np.abs((out ** 2).sum(axis=1) - 1.0)) < 1e-12
+            joint = out ** 2 / 32
             assert joint.sum() == pytest.approx(1.0, abs=1e-12)
 
 

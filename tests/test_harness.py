@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qimpute.harness
 from qimpute.ansatz import MAX_ENTRIES, Ansatz, conditional_output, statevector
 from qimpute.cli import _FLAGS, _build_parser, _resolve_config, main
 from qimpute.harness import (
@@ -17,7 +18,6 @@ from qimpute.harness import (
     ExperimentConfig,
     _Run,
     _validate_oracle,
-    classify_outcomes,
     run_bp_stats,
     run_entropy,
     run_experiment,
@@ -26,10 +26,8 @@ from qimpute.harness import (
     run_majority_ratios,
     run_sweep,
     run_validate,
-    sample_outcomes,
 )
-from qimpute.optimize import EXACT_FIT_DISTANCE
-from qimpute.rng import stream
+from qimpute.optimize import EXACT_FIT_DISTANCE, minimize
 from qimpute.targets import majority_target, mask_fraction, save_target_csv, gaussian_target
 
 
@@ -280,23 +278,30 @@ class TestMajorityRatios:
             float(row["ratio_total"]), abs=1e-12
         )
 
-    def test_sampler_matches_enumeration(self):
-        # sampled rule-hit counts stay within 4 binomial sigmas of the
-        # exhaustively enumerated hit probability
-        full = majority_target(3)
-        masked = mask_fraction(full, 0.5, seed=2)
-        ansatz = Ansatz.quadratic(3)
-        rng_params = stream(2, "params").uniform(0, 2 * np.pi, ansatz.param_count)
-        out = conditional_output(ansatz, rng_params)
-        joint = out.joint_probabilities().ravel()
-        support = (full.probs.ravel() > 0).astype(float)
-        expected = float(joint @ support)
+    def test_sampler_matches_enumeration(self, tmp_path):
+        # sampled rule-hit counts, seen, unseen and in all, stay within 4
+        # binomial sigmas of the hit probabilities enumerated from the
+        # circuit refitted to the masked target as the run fits it
         n_outcomes = 4096
-        draws = sample_outcomes(out, n_outcomes, stream(3, "sampling"))
-        hits_seen, hits_unseen = classify_outcomes(draws, full, masked.seen_mask)
-        sigma = np.sqrt(n_outcomes * expected * (1.0 - expected))
-        assert abs(hits_seen + hits_unseen - n_outcomes * expected) < 4.0 * sigma
-        assert draws.size == n_outcomes
+        config = ExperimentConfig(
+            experiment="majority_ratios", ansatz=("quadratic",), n_min=3, n_max=3,
+            target="majority", fraction=0.5, seeds=(3,), outcomes=n_outcomes,
+            out_dir=str(tmp_path),
+        )
+        row = run_majority_ratios(config).rows[0]
+        full = majority_target(3)
+        masked = mask_fraction(full, 0.5, seed=3)
+        ansatz = Ansatz.quadratic(3)
+        out = conditional_output(ansatz, minimize(ansatz, masked).best_params)
+        hit = (out ** 2 / 8).sum(axis=1, where=full.probs > 0)
+        seen = masked.seen_mask
+        assert 0 < row["hits_unseen"] and 0 < hit[~seen].sum() < 1
+        for expected, hits in ((hit[seen].sum(), row["hits_seen"]),
+                               (hit[~seen].sum(), row["hits_unseen"]),
+                               (hit.sum(), row["hits_total"])):
+            sigma = np.sqrt(n_outcomes * expected * (1.0 - expected))
+            assert abs(hits - n_outcomes * expected) <= 4.0 * sigma
+        assert row["outcomes"] == n_outcomes
 
 
 class TestStatsExperiments:
@@ -352,7 +357,9 @@ class TestValidate:
 
 
 class TestCli:
-    def test_config_error_exit_code(self, tmp_path, capsys):
+    def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        # Runs without --out would create ./results before failing.
+        monkeypatch.chdir(tmp_path)
         assert main(["fit", "--target", "csv"]) == 2
         assert "config error" in capsys.readouterr().err
         # A CSV target that holds 4 of its 8 inputs.
@@ -373,6 +380,11 @@ class TestCli:
         other_experiment = tmp_path / "other_experiment.json"
         other_experiment.write_text(json.dumps({"experiment": "sweep"}))
         config_argvs.append(["fit", "--config", str(other_experiment)])
+        # An output directory below a file cannot be created.
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        config_argvs += [["fit", "--out", str(a_file / "sub")],
+                         ["validate", "--out", str(a_file / "sub")]]
         for argv in (
             ["bp-stats", "--samples", "50"],
             ["entropy", "--samples", "10"],
@@ -408,6 +420,33 @@ class TestCli:
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert "config error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("experiment", ["fit", "validate"])
+    @pytest.mark.parametrize("way", ["flag", "env"])
+    def test_unusable_output_dir_refused_before_any_work(self, experiment, way, tmp_path,
+                                                         capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started work")
+
+        monkeypatch.setattr(qimpute.harness, "minimize", no_work)
+        monkeypatch.setattr(qimpute.harness, "_validate_oracle", no_work)
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        argv = [experiment]
+        if way == "flag":
+            argv += ["--out", str(a_file / "sub")]
+        else:
+            monkeypatch.setenv("QIMPUTE_OUT_DIR", str(a_file / "sub"))
+        assert main(argv) == 2
+        assert "output directory" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, code", [
+        (["--sigma", "1e300"], 2), (["--sigma", "1e-300"], 2), (["--center", "1e300"], 0),
+    ])
+    def test_gaussian_at_float_limits(self, argv, code, tmp_path, capsys):
+        assert main(["fit", *argv, "--out", str(tmp_path)]) == code
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_csv_of_another_width_refused_before_sizing(self, tmp_path, capsys):
         # A 23-bit file is under the cap, so only the run's width refuses it

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qimpute.ansatz import Ansatz, ConditionalOutput, conditional_output
+from qimpute.ansatz import Ansatz, conditional_output
 from qimpute.metrics import (
     hellinger,
     restricted_distance,
@@ -61,6 +61,11 @@ class TestHellinger:
             hellinger([0.6, 0.5], [1.0, 0.0])
         with pytest.raises(ValueError):
             hellinger([-0.1, 1.1], [1.0, 0.0])
+        # NaN passes neither a "< 0" nor a "> tol" test.
+        with pytest.raises(ValueError):
+            hellinger([np.nan, 1.0], [0.5, 0.5])
+        with pytest.raises(ValueError):
+            hellinger([0.5, 0.5], [1.0, np.nan])
 
     def test_tiny_drift_renormalized(self):
         p = np.array([0.5, 0.5]) * (1.0 + 5e-10)
@@ -87,13 +92,13 @@ class TestStateDistance:
         # rounding of its amplitudes
         target = random_target(3, seed=1)
         angles = target_angles(target)
-        out = ConditionalOutput(amp0=np.cos(angles), amp1=np.sin(angles))
+        out = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         assert state_distance(target, out) < 1e-7
 
     def test_quarter_turn_off_everywhere(self):
         target = random_target(3, seed=2)
         angles = target_angles(target) + np.pi / 2
-        out = ConditionalOutput(amp0=np.cos(angles), amp1=np.sin(angles))
+        out = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         assert state_distance(target, out) == pytest.approx(1.0, abs=1e-12)
 
     def test_exponential_solution_is_exact(self):
@@ -107,6 +112,9 @@ class TestStateDistance:
         out = conditional_output(Ansatz.linear(2), np.zeros(3))
         with pytest.raises(ValueError):
             state_distance(target, out)
+        # The amplitudes of the right width, but not as (2^N, 2) rows.
+        with pytest.raises(ValueError):
+            state_distance(target, conditional_output(Ansatz.linear(3), np.zeros(4)).ravel())
 
 
 class TestWorstCaseBound:
@@ -127,7 +135,7 @@ class TestRestrictedDistance:
         target = gaussian_target(3)
         out = conditional_output(Ansatz.linear(3), np.full(4, 0.4))
         distance = restricted_distance(target, out, target.seen_mask)
-        plain = hellinger(target.probs.ravel(), out.joint_probabilities().ravel())
+        plain = hellinger(target.probs.ravel(), (out ** 2 / 8).ravel())
         assert distance == pytest.approx(plain.hellinger, abs=1e-12)
 
     def test_perfect_seen_fit_scores_zero_despite_holes(self):
@@ -136,7 +144,7 @@ class TestRestrictedDistance:
         ansatz = Ansatz.linear(3)
         params = rng.uniform(0, 2 * np.pi, 4)
         out = conditional_output(ansatz, params)
-        cond = np.stack([out.amp0 ** 2, out.amp1 ** 2], axis=1)
+        cond = out ** 2
         seen = np.array([True, False, True, True, False, True, False, True])
         target = TargetDistribution.from_conditionals(cond, seen_mask=seen)
         assert restricted_distance(target, out, seen) < 1e-12

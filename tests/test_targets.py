@@ -47,10 +47,15 @@ class TestGaussian:
         cond = target.cond
         assert cond[4, 0] == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-12)
         assert cond[2, 0] == pytest.approx(cond[6, 0], abs=1e-12)
-        for bad in ({"sigma": 0.0}, {"sigma": -1.0}, {"sigma": math.nan},
-                    {"center": math.nan}, {"center": math.inf}):
+        # A variance that overflows or underflows is refused too.
+        for bad in ({"sigma": 0.0}, {"sigma": -1.0}, {"sigma": math.nan}, {"sigma": 1e300},
+                    {"sigma": 1e-300}, {"center": math.nan}, {"center": math.inf}):
             with pytest.raises(ValueError):
                 gaussian_target(3, **bad)
+        # A center too far for a finite squared distance gives weight 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(gaussian_target(3, center=1e300).cond[:, 0] == 0.0)
         with pytest.raises(ValueError):
             gaussian_target(0)
 
