@@ -12,10 +12,17 @@ per-input amplitudes are formed.  Averaging the entropy over random
 parameters tracks the same saturation and is fit with a pinned-base
 exponential approach to 1.
 
-For the linear family the entropy needs no S: in the prefix parities
-c_k = b_1 xor ... xor b_k a uniform input register is uniform and
-independent, so both Bloch sums factor over the parameters and one draw
-costs O(N) (``_linear_entropy``).
+For the linear family neither statistic needs S per draw.  In the prefix
+parities c_k = b_1 xor ... xor b_k, theta_b = p_0 + sum_k (-1)^c_k p_k,
+so e^{i theta_b} is a product of one factor per parity bit.  A uniform
+input register has uniform, independent c_k, so both Bloch sums factor
+over the parameters and one entropy draw costs O(N) (``_linear_entropy``).
+The seen-input overlap F = mean cos(theta_b - t_b) and its derivative are
+the real and imaginary parts of one contraction of the fixed weights
+e^{-i t_b} / n_seen, one parity axis at a time, with each draw's
+per-parameter factors (``_linear_overlap``): O(2^N) complex products and
+O(N) trigonometric calls per draw, where the S path takes 2 n_seen.
+``_is_linear`` is the one test for that gate list; any other takes S.
 
 Both Monte Carlo statistics draw and evaluate their samples one
 ``ansatz._row_blocks`` block at a time.  A call allocates its block
@@ -101,6 +108,81 @@ def _uniform_angles(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _is_linear(ansatz: Ansatz) -> bool:
+    """Whether the gate list is exactly the linear family's single controls,
+    whatever the ansatz is named."""
+    return ansatz.controls == Ansatz.linear(ansatz.n_inputs).controls
+
+
+def _sampled_gradients(draws: np.ndarray, seen_signs: np.ndarray, seen_goal: np.ndarray,
+                       column: np.ndarray, residual: np.ndarray | None = None,
+                       d_gap: np.ndarray | None = None) -> np.ndarray:
+    """dE/dp / (2 sqrt(E)) for each row of parameters, from ``_overlap_gap``
+    on the seen rows of S; ``column`` is S_seen's column of that parameter.
+    ``residual`` and ``d_gap`` (rows x n_seen) are written when given."""
+    block = np.matmul(draws, seen_signs.T, out=residual)
+    block -= seen_goal
+    gap, block_d_gap = _overlap_gap(block, out=d_gap)
+    return block_d_gap @ column / (2.0 * np.sqrt(gap))
+
+
+def _linear_overlap(seen_signs: np.ndarray, seen_goal: np.ndarray, param_index: int, rows: int):
+    """``overlap(draws) -> (F, dF/dp_k)`` of the linear family, k = param_index,
+    for up to ``rows`` rows of parameters at a time.
+
+    F = Re Z with Z = sum_b W_b e^{i theta_b} over the weights W_b = e^{-i
+    t_b} / n_seen, 0 on unseen inputs.  S's columns 1..N are the signs
+    (-1)^c_k, so W is laid out as one axis per prefix parity and
+    e^{i(-1)^c p} = e^{ip} (1, e^{-2ip})[c]: Z is e^{i sum p} times W
+    contracted one axis at a time with (1, e^{-2ip_k}).  dF/dp_0 = -Im Z.
+    For k >= 1 axis k is contracted last, with (1, -e^{-2ip_k}) instead,
+    giving Z' and dF/dp_k = -Im Z'.  The products are elementwise: a matrix
+    product per axis runs slower through the threaded BLAS at mid widths.
+    The block arrays are allocated here, once; each contraction round
+    halves the array, alternating between two buffers.
+    """
+    n_inputs = seen_signs.shape[1] - 1
+    order = [k for k in range(1, n_inputs + 1) if k != param_index]
+    if param_index:
+        order.append(param_index)
+    index = (seen_signs[:, order] < 0) @ (1 << np.arange(n_inputs - 1, -1, -1))
+    weights = np.zeros(1 << n_inputs, dtype=complex)
+    weights[index] = np.exp(-1j * seen_goal) / seen_goal.size
+    rounds = n_inputs - (param_index > 0)
+    units = np.empty((rows, n_inputs + 1), dtype=complex)
+    turns = np.empty((rows, n_inputs), dtype=complex)
+    halves = (np.empty(rows << (n_inputs - 1), dtype=complex),
+              np.empty(rows << max(n_inputs - 2, 0), dtype=complex))
+
+    def overlap(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        size = draws.shape[0]
+        unit = units[:size]
+        np.cos(draws, out=unit.real)
+        np.sin(draws, out=unit.imag)
+        turn = np.conjugate(unit[:, order], out=turns[:size])
+        turn *= turn
+        current = weights
+        for step in range(rounds):
+            half = current.shape[-1] // 2
+            folded = halves[step % 2][:size * half].reshape(size, half)
+            np.multiply(current[..., half:], turn[:, step, None], out=folded)
+            folded += current[..., :half]
+            current = folded
+        phase = unit.prod(axis=1)
+        if param_index == 0:
+            z = phase * current[..., 0]
+            return z.real, -z.imag
+        low, high = current[..., 0], current[..., 1] * turn[:, -1]
+        return (phase * (low + high)).real, -(phase * (low - high)).imag
+
+    return overlap
+
+
+# Below this gap 1 - |F|, formed from the contraction's F, keeps too few
+# digits (see ``gradient_statistics``), so those draws take the S path.
+_CONTRACTION_MIN_GAP = 1e-3
+
+
 def gradient_statistics(
     ansatz: Ansatz,
     target: TargetDistribution,
@@ -121,6 +203,19 @@ def gradient_statistics(
     E[(dF/dp_k)^2] = 1/(2 n_seen) exactly for every k, because the seen
     rows of S are pairwise distinct, so E[g^2] >= 1/(8 n_seen), nearly
     equal once |F| is small (about 2^(-N/2)).
+
+    An ansatz whose gates are exactly the linear family's single controls
+    takes F and dF/dp from ``_linear_overlap`` instead, and g = -sign(F)
+    dF/dp / (2 sqrt(E)), with the same draws in the same blocks.  The
+    contraction adds 2^N terms of total modulus 1 in N rounds, so F and
+    dF/dp carry an absolute rounding error delta of about 4 (N + 1) eps,
+    and g an error of at most about delta / (2 sqrt(E)) + |g| delta / (2 E).
+    The second term comes from forming E = 1 - |F| from F and grows as E
+    falls, so draws with E below 1e-3 (``_CONTRACTION_MIN_GAP``) are
+    evaluated again on their S rows through ``_overlap_gap``, which has no
+    cancellation.  Every other draw's g is then within 16 delta + 500 delta
+    |g| of the S path's (delta is 2e-15 at N=1, 1e-14 at N=10).  Any other
+    gate list is evaluated through S.
     """
     if sample_count < MIN_SAMPLE_COUNT:
         raise ValueError(f"sample_count must be >= {MIN_SAMPLE_COUNT}, got {sample_count}")
@@ -130,15 +225,27 @@ def gradient_statistics(
     column = np.ascontiguousarray(seen_signs[:, param_index])
     rng = stream(seed, "gradient-stats")
     grads = np.empty(sample_count)
-    n_seen = seen_goal.size
-    blocks, (draws, residual, d_gap) = _block_buffers(
-        sample_count, 1 << ansatz.n_inputs, ansatz.param_count, n_seen, n_seen)
-    for rows in blocks:
-        size = rows.stop - rows.start
-        block = np.matmul(_uniform_angles(rng, draws[:size]), seen_signs.T, out=residual[:size])
-        block -= seen_goal
-        gap, block_d_gap = _overlap_gap(block, out=d_gap[:size])
-        grads[rows] = block_d_gap @ column / (2.0 * np.sqrt(gap))
+    if _is_linear(ansatz):
+        blocks, (draws,) = _block_buffers(sample_count, 1 << ansatz.n_inputs, ansatz.param_count)
+        overlap = _linear_overlap(seen_signs, seen_goal, param_index, draws.shape[0])
+        for rows in blocks:
+            block = _uniform_angles(rng, draws[:rows.stop - rows.start])
+            overlap_value, d_overlap = overlap(block)
+            gap = 1.0 - np.abs(overlap_value)
+            block_grads = grads[rows]
+            np.divide(-np.sign(overlap_value) * d_overlap,
+                      2.0 * np.sqrt(np.maximum(gap, _CONTRACTION_MIN_GAP)), out=block_grads)
+            close = np.flatnonzero(gap < _CONTRACTION_MIN_GAP)
+            if close.size:
+                block_grads[close] = _sampled_gradients(block[close], seen_signs, seen_goal, column)
+    else:
+        n_seen = seen_goal.size
+        blocks, (draws, residual, d_gap) = _block_buffers(
+            sample_count, 1 << ansatz.n_inputs, ansatz.param_count, n_seen, n_seen)
+        for rows in blocks:
+            size = rows.stop - rows.start
+            grads[rows] = _sampled_gradients(_uniform_angles(rng, draws[:size]), seen_signs,
+                                             seen_goal, column, residual[:size], d_gap[:size])
     return GradientStats(
         n_inputs=ansatz.n_inputs,
         n_params=ansatz.param_count,
@@ -204,7 +311,7 @@ def mean_entropy(ansatz: Ansatz, sample_count: int = 1000, seed: int = 0) -> Ent
     rng = stream(seed, "entropy-stats")
     entropies = np.empty(sample_count)
     n_params = ansatz.param_count
-    if ansatz.controls == Ansatz.linear(ansatz.n_inputs).controls:
+    if _is_linear(ansatz):
         blocks, (draws,) = _block_buffers(sample_count, n_params, n_params)
         for rows in blocks:
             entropies[rows] = _linear_entropy(_uniform_angles(rng, draws[:rows.stop - rows.start]))

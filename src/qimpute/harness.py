@@ -266,6 +266,15 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return path
 
 
+def _output_path(out_dir: Path, name: str) -> Path:
+    """``out_dir / name``; a directory there is a ConfigError, raised before
+    any work, since the finished file could not be renamed into place."""
+    path = out_dir / name
+    if path.is_dir():
+        raise ConfigError(f"cannot write {path}: a directory is in the way")
+    return path
+
+
 def _write_atomic(path: Path, write: Callable[[IO[str]], None]) -> None:
     """Write ``path`` through ``write`` into a temp file beside it, then
     rename it into place, so no reader sees a partial file and a failed
@@ -289,8 +298,9 @@ class _Run:
     """The envelope of one data experiment.
 
     Created when the run starts: it creates the output directory, hashes
-    the experiment id, starts the clock and holds the bound violations the
-    run's fits append.  ``write`` writes the CSV and the sidecar.  Each CSV
+    the experiment id, refuses a directory at the CSV's or the sidecar's
+    path, starts the clock and holds the bound violations the run's fits
+    append.  ``write`` writes the CSV and the sidecar.  Each CSV
     line is the experiment, its id, then the runner's row as built; the
     rest of the header is the rows' keys in first-seen order, so a runner's
     row dicts fix its column order.
@@ -311,30 +321,30 @@ class _Run:
         blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha1(blob.encode("utf-8")).hexdigest()[:10]
         self.experiment_id = f"{config.experiment}-{digest}"
+        self.csv_path = _output_path(self.out_dir, f"{self.experiment_id}.csv")
+        self.sidecar_path = _output_path(self.out_dir, f"{self.experiment_id}.json")
         self.violations: list[dict] = []
 
     def write(self, rows: list[dict], aggregates: dict | None = None) -> ExperimentOutput:
         header = list(dict.fromkeys(chain.from_iterable(rows)))
         lead = (self.config.experiment, self.experiment_id)
         aggregates = aggregates or {}
-        csv_path = self.out_dir / f"{self.experiment_id}.csv"
 
         def write_rows(handle: IO[str]) -> None:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(("experiment", "experiment_id", *header))
             writer.writerows((*lead, *map(row.get, header)) for row in rows)
 
-        _write_atomic(csv_path, write_rows)
-        sidecar_path = csv_path.with_suffix(".json")
-        _write_json(sidecar_path, {
+        _write_atomic(self.csv_path, write_rows)
+        _write_json(self.sidecar_path, {
             "experiment_id": self.experiment_id,
             "config": self.resolved,
             "wall_time_s": time.perf_counter() - self.started,
             "aggregates": aggregates,
             "bound_violations": self.violations,
         })
-        return ExperimentOutput(self.experiment_id, csv_path, sidecar_path, rows, aggregates,
-                                self.violations)
+        return ExperimentOutput(self.experiment_id, self.csv_path, self.sidecar_path, rows,
+                                aggregates, self.violations)
 
 
 def _build_target(config: ExperimentConfig, n_inputs: int, seed: int) -> TargetDistribution:
@@ -631,7 +641,7 @@ def run_validate(config: ExperimentConfig) -> tuple[dict, Path]:
 
     Returns the machine-readable report and the path it was written to.
     """
-    path = _out_dir(config) / "validation.json"
+    path = _output_path(_out_dir(config), "validation.json")
     suites = {
         "oracle_equivalence": _validate_oracle(statevector),
         "gradient_check": _validate_gradient(),

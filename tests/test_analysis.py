@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import qimpute.ansatz
+import qimpute.analysis
 from qimpute.analysis import (
     _entropy,
     _linear_entropy,
+    _linear_overlap,
     _radius_entropy,
     fit_entropy_curve,
     gradient_statistics,
@@ -184,7 +186,12 @@ def test_gradient_second_moment_is_exact(kind, n, masked):
     for _ in range(8):
         draws = rng.uniform(0, 2 * np.pi, (1000, ansatz.param_count))
         _, d_gap = _overlap_gap(draws @ seen_signs.T - seen_goal)
-        squares.append((d_gap @ columns) ** 2)
+        block = [d_gap @ columns]
+        if kind == "linear":
+            # The contraction's dF/dp_k, which linear gradient_statistics uses.
+            block += [_linear_overlap(seen_signs, seen_goal, k, len(draws))(draws)[1][:, None]
+                      for k in (0, n)]
+        squares.append(np.hstack(block) ** 2)
     squares = np.concatenate(squares)
     standard_error = squares.std(axis=0) / np.sqrt(len(squares))
     deviation = np.abs(squares.mean(axis=0) - 1.0 / (2 * seen_goal.size))
@@ -233,6 +240,52 @@ def test_chunked_statistics_match_one_block(monkeypatch, kind, budget):
     entropy_stats = mean_entropy(ansatz, sample_count=150, seed=4)
     expected = one_block_statistics(ansatz, target, 150, 4)
     got = (grad_stats.mean_abs_gradient, grad_stats.gradient_variance, entropy_stats.mean_entropy)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    kind=st.sampled_from(["random", "majority", "gaussian", "one-seen"]),
+    fraction=st.sampled_from([0.0, 0.25, 0.6]),
+    seed=st.integers(0, 2 ** 16),
+    last=st.booleans(),
+    budget=st.sampled_from(BUDGETS),
+)
+def test_linear_statistics_match_per_draw_reference(n, kind, fraction, seed, last, budget):
+    # The contraction, the S-path fallback and the blocking together must
+    # give the statistics of each draw's own _overlap_gap gradient.
+    if kind == "one-seen":
+        # One seen input: |F| = |cos r| comes within 1e-3 of 1 on about 3%
+        # of draws, so 1,000 draws leave the fallback unused with
+        # probability 0.97^1000 < 1e-12.
+        target = mask_fraction(random_target(n, seed), 1.0 - 0.5 ** n, seed=seed)
+        sample_count = 1000
+    else:
+        base = (random_target(n, seed) if kind == "random"
+                else majority_target(n) if kind == "majority" else gaussian_target(n))
+        target = mask_fraction(base, fraction, seed=seed)
+        sample_count = 200
+    ansatz = Ansatz.linear(n)
+    param_index = n if last else 0
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return _overlap_gap(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qimpute.ansatz, "_BLOCK_ENTRIES", budget)
+        patch.setattr(qimpute.analysis, "_overlap_gap", spy)
+        stats = gradient_statistics(ansatz, target, sample_count, seed=seed, param_index=param_index)
+    if kind == "one-seen":
+        assert calls, "no draw took the _overlap_gap fallback"
+    seen_signs, seen_goal = _seen_system(ansatz, target)
+    draws = stream(seed, "gradient-stats").uniform(0, 2 * np.pi, (sample_count, ansatz.param_count))
+    gap, d_gap = _overlap_gap(draws @ seen_signs.T - seen_goal)
+    grads = d_gap @ seen_signs[:, param_index] / (2.0 * np.sqrt(gap))
+    expected = (np.abs(grads).mean(), grads.var())
+    got = (stats.mean_abs_gradient, stats.gradient_variance)
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 

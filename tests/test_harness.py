@@ -440,6 +440,26 @@ class TestCli:
         assert main(argv) == 2
         assert "output directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("output", ["csv", "json", "validation.json"])
+    def test_directory_at_output_path_refused_before_any_work(self, output, tmp_path, capsys,
+                                                              monkeypatch):
+        # The finished file could not be renamed onto a directory, so the
+        # run must stop at once, not after all its work.
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started work")
+
+        argv = ["validate" if output == "validation.json" else "fit", "--out", str(tmp_path)]
+        if output == "validation.json":
+            (tmp_path / output).mkdir()
+        else:
+            run = _Run(_resolve_config(_build_parser().parse_args(argv)))
+            (tmp_path / f"{run.experiment_id}.{output}").mkdir()
+        monkeypatch.setattr(qimpute.harness, "minimize", no_work)
+        monkeypatch.setattr(qimpute.harness, "_validate_oracle", no_work)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "a directory is in the way" in err and "Traceback" not in err
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv, code", [
         (["--sigma", "1e300"], 2), (["--sigma", "1e-300"], 2), (["--center", "1e300"], 0),
