@@ -581,21 +581,21 @@ def run_entropy(config: ExperimentConfig) -> ExperimentOutput:
 
 
 def _random_points(label: str, widths, draws: int):
-    """Uniform random parameters for every family and width, from one stream."""
+    """One (ansatz, (draws, M) uniform draws) block per family and width, from one stream."""
     rng = stream(0, label)
     for kind in ANSATZ_KINDS:
         for n in widths:
             ansatz = getattr(Ansatz, kind)(n)
-            for _ in range(draws):
-                yield ansatz, rng.uniform(0.0, 2.0 * np.pi, ansatz.param_count)
+            yield ansatz, rng.uniform(0.0, 2.0 * np.pi, (draws, ansatz.param_count))
 
 
 def _validate_oracle(statevector_fn: Callable, draws: int = 50) -> dict:
-    """The oracle suite on ``statevector_fn``, a hook through which a test
-    proves the suite catches a perturbed analytic path."""
+    """The oracle suite on ``statevector_fn``, a hook (called once per draw)
+    through which a test proves the suite catches a perturbed analytic path."""
     worst = max(
-        float(np.max(np.abs(statevector_fn(ansatz, params) - gate_level_oracle(ansatz, params))))
-        for ansatz, params in _random_points("validate-oracle", range(2, 6), draws)
+        float(np.max(np.abs(np.array([statevector_fn(ansatz, p) for p in block])
+                            - gate_level_oracle(ansatz, block))))
+        for ansatz, block in _random_points("validate-oracle", range(2, 6), draws)
     )
     return {"passed": worst < 1e-10, "max_deviation": worst, "tolerance": 1e-10, "draws": draws}
 
@@ -603,11 +603,12 @@ def _validate_oracle(statevector_fn: Callable, draws: int = 50) -> dict:
 def _validate_gradient(points: int = 7) -> dict:
     targets = {n: random_target(n, seed=n) for n in (2, 4, 6)}
     worst = 0.0
-    for ansatz, params in _random_points("validate-gradient", targets, points):
+    for ansatz, block in _random_points("validate-gradient", targets, points):
         target = targets[ansatz.n_inputs]
-        analytic = gradient(ansatz, params, target)
-        numeric = finite_difference_gradient(ansatz, params, target)
-        worst = max(worst, float(np.max(np.abs(analytic - numeric))))
+        for params in block:
+            analytic = gradient(ansatz, params, target)
+            numeric = finite_difference_gradient(ansatz, params, target)
+            worst = max(worst, float(np.max(np.abs(analytic - numeric))))
     return {"passed": worst < 1e-6, "max_abs_error": worst, "tolerance": 1e-6}
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qimpute.ansatz
 from qimpute.ansatz import (
@@ -12,7 +13,7 @@ from qimpute.ansatz import (
     sign_matrix,
     statevector,
 )
-from qimpute.oracle import gate_level_oracle
+from qimpute.oracle import ORACLE_MAX_INPUTS, gate_level_oracle
 
 
 def bit(value, n, i):
@@ -303,6 +304,30 @@ class TestOracleAgreement:
         ansatz = Ansatz.linear(11)
         with pytest.raises(ValueError):
             gate_level_oracle(ansatz, np.zeros(12))
+        with pytest.raises(ValueError):
+            gate_level_oracle(ansatz, np.zeros((3, 12)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["linear", "quadratic", "exponential"]),
+    n=st.integers(1, 6),
+    draws=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_oracle_rows_are_single_draws(kind, n, draws, seed):
+    ansatz = getattr(Ansatz, kind)(n)
+    m = ansatz.param_count
+    block = np.random.default_rng(seed).uniform(0, 2 * np.pi, (draws, m))
+    states = gate_level_oracle(ansatz, block)
+    assert states.shape == (draws, 1 << (n + 1))
+    for d in range(draws):
+        single = gate_level_oracle(ansatz, block[d])
+        assert single.shape == (1 << (n + 1),)
+        assert np.array_equal(states[d], single)
+    for bad in ((draws, m + 1), (m + 1,), (1, draws, m), (draws, 1, m)):
+        with pytest.raises(ValueError):
+            gate_level_oracle(ansatz, np.zeros(bad))
 
 
 def test_exponential_sign_matrix_invertible():

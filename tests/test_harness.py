@@ -17,6 +17,7 @@ from qimpute.harness import (
     ConfigError,
     ExperimentConfig,
     _Run,
+    _random_points,
     _validate_oracle,
     run_bp_stats,
     run_entropy,
@@ -28,6 +29,7 @@ from qimpute.harness import (
     run_validate,
 )
 from qimpute.optimize import EXACT_FIT_DISTANCE, minimize
+from qimpute.rng import stream
 from qimpute.targets import majority_target, mask_fraction, save_target_csv, gaussian_target
 
 
@@ -342,6 +344,36 @@ class TestValidate:
         assert good["passed"]
         assert not bad["passed"]
         assert bad["max_deviation"] > 1e-10
+
+    def test_random_points_match_per_draw_stream(self):
+        blocks = list(_random_points("validate-oracle", range(2, 6), 3))
+        rng = stream(0, "validate-oracle")
+        assert [(a.kind, a.n_inputs) for a, _ in blocks] == [
+            (kind, n) for kind in ("linear", "quadratic", "exponential") for n in range(2, 6)
+        ]
+        for ansatz, block in blocks:
+            assert block.shape == (3, ansatz.param_count)
+            per_draw = [rng.uniform(0.0, 2.0 * np.pi, ansatz.param_count) for _ in range(3)]
+            assert np.array_equal(block, per_draw)
+
+    def test_oracle_hook_called_once_per_draw(self):
+        calls = []
+
+        def spy(ansatz, params):
+            calls.append(params.shape)
+            return statevector(ansatz, params)
+
+        assert _validate_oracle(spy, draws=4)["passed"]
+        assert len(calls) == 3 * 4 * 4
+        assert all(len(shape) == 1 for shape in calls)
+
+    def test_report_bytes_are_reproducible(self, tmp_path):
+        texts = []
+        for name in ("a", "b"):
+            _, path = run_validate(ExperimentConfig(experiment="validate",
+                                                    out_dir=str(tmp_path / name)))
+            texts.append(path.read_bytes())
+        assert texts[0] == texts[1]
 
     def test_full_report(self, tmp_path):
         config = ExperimentConfig(experiment="validate", out_dir=str(tmp_path))

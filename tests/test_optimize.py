@@ -124,6 +124,22 @@ class TestGradient:
                     numeric = finite_difference_gradient(ansatz, params, target)
                     assert np.max(np.abs(analytic - numeric)) < 1e-6
 
+    def test_finite_difference_is_central_difference_of_objective(self):
+        rng = np.random.default_rng(7)
+        for kind in ("linear", "quadratic", "exponential"):
+            ansatz = getattr(Ansatz, kind)(4)
+            target = mask_fraction(random_target(4, seed=2), 0.25, seed=3)
+            params = rng.uniform(0, 2 * np.pi, ansatz.param_count)
+            step = 1e-6
+            expected = np.empty(params.size)
+            for i in range(params.size):
+                upper, lower = params.copy(), params.copy()
+                upper[i] = params[i] + step
+                lower[i] = params[i] - step
+                expected[i] = (objective(ansatz, upper, target)
+                               - objective(ansatz, lower, target)) / (2.0 * step)
+            assert np.array_equal(finite_difference_gradient(ansatz, params, target), expected)
+
     def test_vanishing_at_exponential_optimum(self):
         # sqrt(1-|F|) is conical at an exact fit, so its gradient norm does
         # not vanish; the smooth complement 2*C*grad(C) = grad(1-|F|) does
