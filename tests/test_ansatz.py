@@ -301,11 +301,10 @@ class TestOracleAgreement:
         assert state[3] == pytest.approx(np.cos(a0 - a1), abs=1e-12)
 
     def test_oracle_width_cap(self):
-        ansatz = Ansatz.linear(11)
-        with pytest.raises(ValueError):
-            gate_level_oracle(ansatz, np.zeros(12))
-        with pytest.raises(ValueError):
-            gate_level_oracle(ansatz, np.zeros((3, 12)))
+        ansatz = Ansatz.linear(ORACLE_MAX_INPUTS + 1)
+        for shape in ((ansatz.param_count,), (3, ansatz.param_count)):
+            with pytest.raises(ValueError):
+                gate_level_oracle(ansatz, np.zeros(shape))
 
 
 @settings(max_examples=40, deadline=None)
